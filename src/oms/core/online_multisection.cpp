@@ -182,6 +182,7 @@ std::int32_t OnlineMultisection::pick_child(WeightsView weights,
         static_cast<std::uint64_t>(node.id) ^ config_.seed, parent_id);
     const auto start = static_cast<std::int32_t>(parent.mod_children.mod(h));
     counters.score_evaluations += 1;
+    counters.candidate_evaluations += 1;
     for (std::int32_t probe = 0; probe < children; ++probe) {
       std::int32_t idx = start + probe;
       if (idx >= children) {
@@ -199,6 +200,7 @@ std::int32_t OnlineMultisection::pick_child(WeightsView weights,
     // lexicographic-(weight, index)-min zero-attraction child. Bit-identical
     // to the dense loop below.
     counters.score_evaluations += static_cast<std::uint64_t>(children);
+    counters.candidate_evaluations += static_cast<std::uint64_t>(children);
     const std::int32_t best = sparse_fennel_select(
         children, node.weight, tree_.capacity_of(first),
         tree_.penalty_factor_of(first), sqrt_,
@@ -212,6 +214,7 @@ std::int32_t OnlineMultisection::pick_child(WeightsView weights,
     }
   } else {
     counters.score_evaluations += static_cast<std::uint64_t>(children);
+    counters.candidate_evaluations += static_cast<std::uint64_t>(children);
     std::int32_t best = -1;
     double best_score = 0.0;
     NodeWeight best_weight = 0;

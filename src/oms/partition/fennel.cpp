@@ -40,6 +40,27 @@ void FennelPartitioner::prepare(int num_threads) {
     s.touched.clear();
     s.candidates.assign(static_cast<std::size_t>(config_.k), 0);
   }
+  // Concurrent passes keep the O(k) scans: relaxed racy weight adds cannot
+  // keep a tournament tree consistent.
+  use_tree_ = sparse_scan_ && num_threads == 1;
+  rebuild_tree();
+}
+
+void FennelPartitioner::rebuild_tree() {
+  if (use_tree_) {
+    tree_.build(config_.k, [this](std::int32_t b) {
+      return weights_.load(static_cast<std::size_t>(b));
+    });
+  }
+}
+
+void FennelPartitioner::update_tree(BlockId b) {
+  if (use_tree_) {
+    const auto weights = weights_.view<BlockWeights::Layout::kDense>();
+    tree_.update(b, [weights](std::int32_t i) {
+      return weights.load(static_cast<std::size_t>(i));
+    });
+  }
 }
 
 BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
@@ -58,8 +79,9 @@ BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
     scratch.neighbor_weight[static_cast<std::size_t>(nb)] += node.edge_weights[i];
   }
 
-  // The per-block work is still Theorem-shaped O(k) (every block's weight is
-  // inspected once); count it as such regardless of which scan runs below.
+  // score_evaluations models the paper's Theta(k) per-node Fennel cost
+  // whichever scan runs below; candidate_evaluations counts the blocks the
+  // scan actually scores.
   counters.score_evaluations += static_cast<std::uint64_t>(config_.k);
   BlockId best = kInvalidBlock;
   double best_score = 0.0;
@@ -68,21 +90,48 @@ BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
   // Flat partitioners always keep the dense layout: a compile-time unit
   // stride and a cached sqrt keep the k-wide scan at a multiply per block.
   const auto weights = weights_.view<BlockWeights::Layout::kDense>();
+  // Keeps the best (score desc, weight asc, index asc). The ascending dense
+  // loops never reach the index clause; the tree path needs it because it
+  // visits its candidates unsorted.
   const auto consider = [&](BlockId b, NodeWeight w, double penalty) {
     const double score =
         static_cast<double>(neighbor_weight[static_cast<std::size_t>(b)]) - penalty;
     if (best == kInvalidBlock || score > best_score ||
-        (score == best_score && w < best_weight)) {
+        (score == best_score &&
+         (w < best_weight || (w == best_weight && b < best)))) {
       best = b;
       best_score = score;
       best_weight = w;
     }
   };
-  if (sparse_scan_) {
+  const auto consider_tuned = [&](BlockId b) {
+    const NodeWeight w = weights.load(static_cast<std::size_t>(b));
+    if (w + node.weight <= max_block_weight_) {
+      consider(b, w, penalty_factor_ * sqrt_(w));
+    }
+  };
+  if (use_tree_) {
+    // Exact O(deg + log k) selection over touched ∪ {root}, where the root is
+    // the lightest (weight, index) block. A zero-attraction root is the
+    // sparse scan's representative (sparse_select.hpp); an attracted root
+    // beats every zero-attraction block (edge weights are > 0 and the
+    // penalty increases); an infeasible root means every block is full, and
+    // it is then also the all-full fallback's answer.
+    counters.candidate_evaluations += scratch.touched.size() + 1;
+    for (const BlockId b : scratch.touched) {
+      consider_tuned(b);
+    }
+    const BlockId root = tree_.min_index();
+    consider_tuned(root);
+    if (best == kInvalidBlock) {
+      best = root;
+    }
+  } else if (sparse_scan_) {
     // Exact sparse-candidate scan (see sparse_select.hpp for the dominance
     // argument): bit-identical winner, O(k) integer ops + O(deg) double ops
     // instead of O(k) double ops. sparse_scan_ guarantees 0 <= w <=
     // max_block_weight_ < 2^31 and a strictly increasing penalty.
+    counters.candidate_evaluations += static_cast<std::uint64_t>(config_.k);
     best = sparse_fennel_select(
         config_.k, node.weight, max_block_weight_, penalty_factor_, sqrt_,
         [&](std::int32_t b) { return weights.load(static_cast<std::size_t>(b)); },
@@ -91,14 +140,12 @@ BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
         },
         scratch.candidates.data());
   } else if (tuned_gamma_) {
+    counters.candidate_evaluations += static_cast<std::uint64_t>(config_.k);
     for (BlockId b = 0; b < config_.k; ++b) {
-      const NodeWeight w = weights.load(static_cast<std::size_t>(b));
-      if (w + node.weight > max_block_weight_) {
-        continue;
-      }
-      consider(b, w, penalty_factor_ * sqrt_(w));
+      consider_tuned(b);
     }
   } else {
+    counters.candidate_evaluations += static_cast<std::uint64_t>(config_.k);
     for (BlockId b = 0; b < config_.k; ++b) {
       const NodeWeight w = weights.load(static_cast<std::size_t>(b));
       if (w + node.weight > max_block_weight_) {
@@ -123,6 +170,7 @@ BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
   scratch.touched.clear();
 
   weights_.add(static_cast<std::size_t>(best), node.weight);
+  update_tree(best);
   assignment_.store(node.id, best);
   counters.layers_traversed += 1;
   return best;
@@ -132,6 +180,7 @@ void FennelPartitioner::unassign(NodeId u, NodeWeight weight) {
   const BlockId b = assignment_.load(u);
   OMS_ASSERT_MSG(b != kInvalidBlock, "unassign of a never-assigned node");
   weights_.add(static_cast<std::size_t>(b), -weight);
+  update_tree(b);
   assignment_.store(u, kInvalidBlock);
 }
 
@@ -149,6 +198,7 @@ bool FennelPartitioner::save_stream_state(CheckpointWriter& w) const {
 bool FennelPartitioner::load_stream_state(CheckpointReader& r) {
   load_assignment(r, assignment_);
   load_block_weights(r, weights_);
+  rebuild_tree(); // resume runs prepare() first, on zero weights
   return true;
 }
 

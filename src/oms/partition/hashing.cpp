@@ -28,6 +28,7 @@ BlockId HashingPartitioner::assign(const StreamedNode& node, int /*thread_id*/,
   for (BlockId probes = 0; probes < config_.k; ++probes) {
     const auto b = static_cast<std::size_t>((block + probes) % config_.k);
     counters.score_evaluations += 1;
+    counters.candidate_evaluations += 1;
     if (weights.load(b) + node.weight <= max_block_weight_) {
       weights.add(b, node.weight);
       assignment_[node.id] = static_cast<BlockId>(b);

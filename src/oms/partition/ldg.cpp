@@ -19,6 +19,27 @@ void LdgPartitioner::prepare(int num_threads) {
     s.neighbor_weight.assign(static_cast<std::size_t>(config_.k), 0);
     s.touched.clear();
   }
+  // Concurrent passes keep the O(k) scan: relaxed racy weight adds cannot
+  // keep a tournament tree consistent.
+  use_tree_ = num_threads == 1;
+  rebuild_tree();
+}
+
+void LdgPartitioner::rebuild_tree() {
+  if (use_tree_) {
+    tree_.build(config_.k, [this](std::int32_t b) {
+      return weights_.load(static_cast<std::size_t>(b));
+    });
+  }
+}
+
+void LdgPartitioner::update_tree(BlockId b) {
+  if (use_tree_) {
+    const auto weights = weights_.view<BlockWeights::Layout::kDense>();
+    tree_.update(b, [weights](std::int32_t i) {
+      return weights.load(static_cast<std::size_t>(i));
+    });
+  }
 }
 
 BlockId LdgPartitioner::assign(const StreamedNode& node, int thread_id,
@@ -38,8 +59,8 @@ BlockId LdgPartitioner::assign(const StreamedNode& node, int thread_id,
     scratch.neighbor_weight[static_cast<std::size_t>(nb)] += node.edge_weights[i];
   }
 
-  // Score all k blocks: attraction * remaining-capacity penalty. The dense
-  // view gives the k-wide scan a compile-time unit stride.
+  // Score attraction * remaining-capacity penalty. The dense view gives the
+  // k-wide scan a compile-time unit stride.
   const auto weights = weights_.view<BlockWeights::Layout::kDense>();
   const EdgeWeight* const neighbor_weight = scratch.neighbor_weight.data();
   const NodeWeight max_weight = max_block_weight_;
@@ -47,26 +68,52 @@ BlockId LdgPartitioner::assign(const StreamedNode& node, int thread_id,
   BlockId best = kInvalidBlock;
   double best_score = -1.0;
   NodeWeight best_weight = 0;
-  for (BlockId b = 0; b < config_.k; ++b) {
+  // Keeps the best (score desc, weight asc, index asc): tie-break towards the
+  // lighter block (paper / Stanton-Kliot rule). The ascending dense loop
+  // never reaches the index clause; the tree path visits candidates unsorted.
+  const auto consider = [&](BlockId b) {
     const NodeWeight w = weights.load(static_cast<std::size_t>(b));
     if (w + node.weight > max_weight) {
-      continue;
+      return;
     }
     const double penalty =
         1.0 - static_cast<double>(w) / static_cast<double>(max_weight);
     const double score =
         static_cast<double>(neighbor_weight[static_cast<std::size_t>(b)]) * penalty;
-    // Tie-break towards the lighter block (paper / Stanton-Kliot rule).
     if (best == kInvalidBlock || score > best_score ||
-        (score == best_score && w < best_weight)) {
+        (score == best_score &&
+         (w < best_weight || (w == best_weight && b < best)))) {
       best = b;
       best_score = score;
       best_weight = w;
     }
+  };
+  if (use_tree_) {
+    // Exact O(deg + log k) selection over touched ∪ {root}, where the root is
+    // the lightest (weight, index) block. Every feasible zero-attraction
+    // block scores 0, so the root wins among them; an attracted root scores
+    // >= 0 at the lowest (weight, index) and so ties-and-wins or wins
+    // outright; an infeasible root means every block is full, and it is then
+    // also the all-full fallback's answer.
+    counters.candidate_evaluations += scratch.touched.size() + 1;
+    for (const BlockId b : scratch.touched) {
+      consider(b);
+    }
+    const BlockId root = tree_.min_index();
+    consider(root);
+    if (best == kInvalidBlock) {
+      best = root;
+    }
+  } else {
+    counters.candidate_evaluations += static_cast<std::uint64_t>(config_.k);
+    for (BlockId b = 0; b < config_.k; ++b) {
+      consider(b);
+    }
   }
   if (best == kInvalidBlock) {
-    // All blocks momentarily at capacity (possible only transiently under
-    // parallel overshoot): fall back to the globally lightest block.
+    // All blocks at capacity (eps = 0 with uneven node weights, or
+    // transiently under parallel overshoot): fall back to the globally
+    // lightest block.
     best = 0;
     for (BlockId b = 1; b < config_.k; ++b) {
       if (weights.load(static_cast<std::size_t>(b)) <
@@ -82,9 +129,18 @@ BlockId LdgPartitioner::assign(const StreamedNode& node, int thread_id,
   scratch.touched.clear();
 
   weights_.add(static_cast<std::size_t>(best), node.weight);
+  update_tree(best);
   assignment_.store(node.id, best);
   counters.layers_traversed += 1;
   return best;
+}
+
+void LdgPartitioner::unassign(NodeId u, NodeWeight weight) {
+  const BlockId b = assignment_.load(u);
+  OMS_ASSERT_MSG(b != kInvalidBlock, "unassign of a never-assigned node");
+  weights_.add(static_cast<std::size_t>(b), -weight);
+  update_tree(b);
+  assignment_.store(u, kInvalidBlock);
 }
 
 std::uint64_t LdgPartitioner::state_bytes() const noexcept {
@@ -101,6 +157,7 @@ bool LdgPartitioner::save_stream_state(CheckpointWriter& w) const {
 bool LdgPartitioner::load_stream_state(CheckpointReader& r) {
   load_assignment(r, assignment_);
   load_block_weights(r, weights_);
+  rebuild_tree(); // resume runs prepare() first, on zero weights
   return true;
 }
 

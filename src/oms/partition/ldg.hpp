@@ -1,7 +1,9 @@
 /// \file ldg.hpp
 /// \brief Linear Deterministic Greedy (Stanton & Kliot): assign node v to the
 ///        block maximizing |V_i intersect N(v)| * (1 - c(V_i)/Lmax), breaking
-///        ties towards the lighter block. O(m + n*k) over a pass.
+///        ties towards the lighter block. O(m + n*k) over a pass in the
+///        paper's model; a sequential pass selects exactly in O(deg + log k)
+///        per node through a MinLoadTree, concurrent passes scan all k.
 #pragma once
 
 #include <vector>
@@ -10,6 +12,7 @@
 #include "oms/stream/block_weights.hpp"
 #include "oms/stream/one_pass_driver.hpp"
 #include "oms/util/assignment_array.hpp"
+#include "oms/util/min_load_tree.hpp"
 
 namespace oms {
 
@@ -31,11 +34,18 @@ public:
 
   [[nodiscard]] std::uint64_t state_bytes() const noexcept;
 
+  /// Restreaming support (ReLDG): remove \p u from its current block so a
+  /// later assign() can re-place it with fresh scores.
+  void unassign(NodeId u, NodeWeight weight);
+
   // Checkpoint/resume: assignment + block weights (scratch is per-node).
   [[nodiscard]] bool save_stream_state(CheckpointWriter& w) const override;
   [[nodiscard]] bool load_stream_state(CheckpointReader& r) override;
 
 private:
+  void rebuild_tree();
+  void update_tree(BlockId b);
+
   struct Scratch {
     std::vector<EdgeWeight> neighbor_weight; // size k, reset via touched list
     std::vector<BlockId> touched;
@@ -45,6 +55,8 @@ private:
   NodeWeight max_block_weight_;
   AssignmentArray assignment_;
   BlockWeights weights_;
+  bool use_tree_ = false; ///< sequential pass: tree_ is live
+  MinLoadTree tree_;      ///< min-(weight, index) block; maintained iff use_tree_
   std::vector<Scratch> scratch_;
 };
 

@@ -8,8 +8,11 @@
 /// provides the machinery for both.
 #pragma once
 
+#include <utility>
+
 #include "oms/graph/csr_graph.hpp"
 #include "oms/partition/fennel.hpp"
+#include "oms/partition/ldg.hpp"
 #include "oms/partition/partition_config.hpp"
 #include "oms/stream/one_pass_driver.hpp"
 
@@ -38,29 +41,39 @@ struct RestreamResult {
 [[nodiscard]] RestreamResult restream(const CsrGraph& graph,
                                       RestreamableAssigner& assigner, int passes);
 
-/// ReFennel: Fennel wrapped with the restreaming hooks.
-class ReFennelPartitioner final : public RestreamableAssigner {
+/// Wraps a flat one-pass assigner that has unassign(u, weight) with the
+/// restreaming hooks: ReFennel and ReLDG (Nishimura & Ugander).
+template <typename Assigner>
+class Restreamable final : public RestreamableAssigner {
 public:
-  ReFennelPartitioner(NodeId num_nodes, EdgeIndex num_edges,
-                      NodeWeight total_node_weight, const PartitionConfig& config)
-      : fennel_(num_nodes, num_edges, total_node_weight, config) {}
+  template <typename... Args>
+  explicit Restreamable(Args&&... args) : inner_(std::forward<Args>(args)...) {}
 
-  void prepare(int num_threads) override { fennel_.prepare(num_threads); }
+  void prepare(int num_threads) override { inner_.prepare(num_threads); }
   BlockId assign(const StreamedNode& node, int thread_id,
                  WorkCounters& counters) override {
-    return fennel_.assign(node, thread_id, counters);
+    return inner_.assign(node, thread_id, counters);
   }
-  [[nodiscard]] BlockId block_of(NodeId u) const override { return fennel_.block_of(u); }
-  [[nodiscard]] BlockId num_blocks() const override { return fennel_.num_blocks(); }
+  [[nodiscard]] BlockId block_of(NodeId u) const override { return inner_.block_of(u); }
+  [[nodiscard]] BlockId num_blocks() const override { return inner_.num_blocks(); }
   [[nodiscard]] std::vector<BlockId> take_assignment() override {
-    return fennel_.take_assignment();
+    return inner_.take_assignment();
   }
   void unassign_node(NodeId u, NodeWeight weight) override {
-    fennel_.unassign(u, weight);
+    inner_.unassign(u, weight);
+  }
+  [[nodiscard]] bool save_stream_state(CheckpointWriter& w) const override {
+    return inner_.save_stream_state(w);
+  }
+  [[nodiscard]] bool load_stream_state(CheckpointReader& r) override {
+    return inner_.load_stream_state(r);
   }
 
 private:
-  FennelPartitioner fennel_;
+  Assigner inner_;
 };
+
+using ReFennelPartitioner = Restreamable<FennelPartitioner>;
+using ReLdgPartitioner = Restreamable<LdgPartitioner>;
 
 } // namespace oms

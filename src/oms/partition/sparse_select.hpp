@@ -1,6 +1,10 @@
 /// \file sparse_select.hpp
 /// \brief Exact sparse-candidate selection for the tuned Fennel objective,
-///        shared by the flat partitioner and the multi-section descent.
+///        used by the multi-section descent (per layer, fan-out <= 64) and by
+///        flat Fennel on concurrent passes (threads > 1). A sequential flat
+///        pass applies the same dominance argument through a MinLoadTree
+///        (util/min_load_tree.hpp), which yields the representative in O(1)
+///        instead of this O(k) integer reduction.
 ///
 /// The dense reference loop scores every slot i in ascending order:
 ///

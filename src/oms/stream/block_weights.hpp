@@ -10,8 +10,10 @@
 ///
 /// Two layouts:
 ///  * kDense — one atomic per slot. Right for sequential passes and for flat
-///    partitioners (Fennel, LDG) that scan all k weights per node: density
-///    keeps the scan inside as few cache lines as possible.
+///    partitioners (Fennel, LDG): their concurrent passes scan all k weights
+///    per node, and density keeps that scan inside as few cache lines as
+///    possible (sequential passes read only the touched blocks and the
+///    MinLoadTree root).
 ///  * kPadded — one cache line per slot. Right for concurrent multi-section
 ///    passes, where reads touch only O(b) blocks per layer but *every*
 ///    thread's assignment read-modify-writes one of the few top-layer

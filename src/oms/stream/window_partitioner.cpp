@@ -65,6 +65,7 @@ void WindowPartitioner::flush_one(WorkCounters& counters) {
   NodeWeight best_weight = 0;
   for (BlockId b = 0; b < k_; ++b) {
     counters.score_evaluations += 1;
+    counters.candidate_evaluations += 1;
     const NodeWeight w = weights_.load(static_cast<std::size_t>(b));
     if (w + slot.weight > max_block_weight_) {
       continue;

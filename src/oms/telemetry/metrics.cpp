@@ -29,6 +29,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "work.score_evaluations",
     "work.neighbor_visits",
     "work.layers_traversed",
+    "work.candidate_evaluations",
     "buffered.buffers",
     "multilevel.commits_accepted",
     "multilevel.commits_rejected",

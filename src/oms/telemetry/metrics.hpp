@@ -48,6 +48,7 @@ enum class Counter : std::uint16_t {
   kWorkScoreEvaluations, ///< WorkCounters: candidate block scores evaluated
   kWorkNeighborVisits,   ///< WorkCounters: neighbor inspections
   kWorkLayersTraversed,  ///< WorkCounters: tree layers descended
+  kWorkCandidateEvaluations, ///< WorkCounters: blocks actually scored
   kBufferedBuffers,      ///< buffers the buffered core built and committed
   kMultilevelCommitsAccepted, ///< V-cycle results that beat the lp candidate
   kMultilevelCommitsRejected, ///< V-cycle results discarded (lp kept)
@@ -265,6 +266,7 @@ inline void publish_work(const WorkCounters& work) noexcept {
   metric_add(Counter::kWorkScoreEvaluations, work.score_evaluations);
   metric_add(Counter::kWorkNeighborVisits, work.neighbor_visits);
   metric_add(Counter::kWorkLayersTraversed, work.layers_traversed);
+  metric_add(Counter::kWorkCandidateEvaluations, work.candidate_evaluations);
 }
 
 /// RAII stage timer: records the span's wall time into \p stage on

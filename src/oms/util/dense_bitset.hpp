@@ -63,6 +63,15 @@ public:
            1U;
   }
 
+  [[nodiscard]] std::size_t words_per_row() const noexcept { return words_per_row_; }
+
+  /// Word \p w of one row (bits 64w .. 64w + 63); rows beyond the current
+  /// size read as zero, like test().
+  [[nodiscard]] std::uint64_t word(std::size_t row, std::size_t w) const noexcept {
+    OMS_HEAVY_ASSERT(w < words_per_row_);
+    return row < num_rows_ ? words_[row * words_per_row_ + w] : 0;
+  }
+
   /// Any bit set in [begin, end)? The hot probe of the hierarchical descent:
   /// "does u already have a replica inside this child's leaf range".
   [[nodiscard]] bool any_in_range(std::size_t row, BlockId begin,

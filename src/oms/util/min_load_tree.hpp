@@ -1,0 +1,74 @@
+/// \file min_load_tree.hpp
+/// \brief Tournament tree over k slots that keeps the lexicographic minimum
+///        of (load, index) — the one zero-attraction block that can win an
+///        exact Fennel/LDG/HDRF block selection (see partition/sparse_select.hpp
+///        for the dominance argument).
+///
+/// Internal node p holds the winning slot of its children 2p and 2p+1; leaf
+/// k + i stands for slot i. Because the (load, index) order is total, node 1
+/// is the minimum over all leaves for any k, power of two or not. The tree
+/// stores winner indices only and reads loads through an accessor, so it
+/// keeps no second copy of the weights: after a slot's load changes, the
+/// caller reports it with update(). O(k) build, O(log k) update, O(1) query,
+/// 2k int32 of state. Single-writer: racy concurrent load updates cannot keep
+/// it consistent, which is why the parallel paths keep their dense scans.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "oms/util/assert.hpp"
+
+namespace oms {
+
+class MinLoadTree {
+public:
+  /// (Re)build over slots [0, k) from the current loads; load(i) returns the
+  /// load of slot i.
+  template <typename LoadAt>
+  void build(std::int32_t k, LoadAt&& load) {
+    OMS_ASSERT(k >= 1);
+    k_ = k;
+    node_.resize(2 * static_cast<std::size_t>(k));
+    for (std::int32_t i = 0; i < k; ++i) {
+      node_[static_cast<std::size_t>(k + i)] = i;
+    }
+    for (std::int32_t p = k - 1; p >= 1; --p) {
+      node_[static_cast<std::size_t>(p)] = winner(p, load);
+    }
+  }
+
+  /// Slot \p i's load changed: replay its matches on the path to the root.
+  /// Stops early once a match keeps a winner other than \p i, because every
+  /// match above it then sees the same two keys as before.
+  template <typename LoadAt>
+  void update(std::int32_t i, LoadAt&& load) {
+    OMS_HEAVY_ASSERT(i >= 0 && i < k_);
+    for (std::int32_t p = (k_ + i) / 2; p >= 1; p /= 2) {
+      const std::int32_t before = node_[static_cast<std::size_t>(p)];
+      const std::int32_t after = winner(p, load);
+      node_[static_cast<std::size_t>(p)] = after;
+      if (after == before && after != i) {
+        return;
+      }
+    }
+  }
+
+  /// The slot with the smallest load, lowest index among equal loads.
+  [[nodiscard]] std::int32_t min_index() const noexcept { return node_[1]; }
+
+private:
+  template <typename LoadAt>
+  [[nodiscard]] std::int32_t winner(std::int32_t p, LoadAt& load) const {
+    const std::int32_t a = node_[static_cast<std::size_t>(2 * p)];
+    const std::int32_t b = node_[static_cast<std::size_t>(2 * p + 1)];
+    const auto la = load(a);
+    const auto lb = load(b);
+    return lb < la || (lb == la && b < a) ? b : a;
+  }
+
+  std::int32_t k_ = 0;
+  std::vector<std::int32_t> node_;
+};
+
+} // namespace oms

@@ -110,6 +110,11 @@ TEST(Fennel, WorkIsLinearInMPlusNK) {
   EXPECT_EQ(r.work.neighbor_visits, g.num_arcs());
   EXPECT_EQ(r.work.score_evaluations,
             static_cast<std::uint64_t>(g.num_nodes()) * static_cast<std::uint64_t>(k));
+  // The measured count of the exact sequential selection: the attracted
+  // blocks (at most the degree) plus the min-load root, per node.
+  EXPECT_LE(r.work.candidate_evaluations,
+            static_cast<std::uint64_t>(g.num_nodes()) + 2 * g.num_edges());
+  EXPECT_GT(r.work.candidate_evaluations, static_cast<std::uint64_t>(g.num_nodes()));
 }
 
 TEST(Fennel, ExplicitParamsOverrideStandardAlpha) {

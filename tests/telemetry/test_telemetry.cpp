@@ -166,12 +166,17 @@ TEST_F(MetricsTest, PublishWorkMapsOntoWorkCounters) {
   work.score_evaluations = 11;
   work.neighbor_visits = 22;
   work.layers_traversed = 33;
+  work.candidate_evaluations = 4;
   publish_work(work);
   publish_work(work);
   const MetricsSnapshot snap = registry.scrape();
   EXPECT_EQ(snap.counter(Counter::kWorkScoreEvaluations), 22u);
   EXPECT_EQ(snap.counter(Counter::kWorkNeighborVisits), 44u);
   EXPECT_EQ(snap.counter(Counter::kWorkLayersTraversed), 66u);
+  EXPECT_EQ(snap.counter(Counter::kWorkCandidateEvaluations), 8u);
+  EXPECT_STREQ(counter_name(Counter::kWorkCandidateEvaluations),
+               "work.candidate_evaluations");
+  EXPECT_NE(snap.to_json().find("\"work.candidate_evaluations\":8"), std::string::npos);
 }
 
 TEST_F(MetricsTest, JsonRoundTripIsExact) {

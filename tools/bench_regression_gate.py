@@ -11,18 +11,22 @@ every benchmark in a run, so the gate normalizes it away: each gated ratio
 (BM_TreeBuild*, BM_MappingCost, ...). A uniformly slower runner inflates
 gated and anchor ratios alike and cancels; a change that slows only the
 streaming hot paths moves the gated ratios against the anchors and trips the
-gate. The residual blind spot (a change slowing *everything*, anchors
+gate. The geomean alone would let a large win on one gated entry (say a 20x
+faster BM_StreamFennel/4096) hide a real regression of another, so every
+gated entry must also stay within --fail-entry of its baseline on its own.
+The residual blind spot (a change slowing *everything*, anchors
 included, uniformly) is covered by the uploaded artifact and perf review,
 not this gate; --no-normalize gives the raw same-machine comparison.
 
 Exit codes: 0 = within bounds (individual drifts above --warn emit GitHub
-warning annotations), 1 = normalized geomean regression above --fail,
-2 = usage/data error (missing files, no overlapping benchmarks).
+warning annotations), 1 = normalized geomean regression above --fail or a
+gated entry regressing above --fail-entry, 2 = usage/data error (missing
+files, no overlapping benchmarks).
 
 Usage:
   bench_regression_gate.py NEW_JSON BASELINE_JSON \
       [--prefix BM_Stream [--prefix BM_Buffered ...]] \
-      [--fail 0.15] [--warn 0.05] [--no-normalize]
+      [--fail 0.15] [--fail-entry 0.15] [--warn 0.05] [--no-normalize]
 
 --prefix may be repeated (or given comma-separated): a benchmark is gated
 when its name starts with ANY prefix; all remaining common benchmarks are
@@ -68,11 +72,15 @@ def main():
                              "default: BM_Stream)")
     parser.add_argument("--fail", type=float, default=0.15,
                         help="fail when the gated geomean regresses more than this")
+    parser.add_argument("--fail-entry", type=float, default=None,
+                        help="fail when any single gated benchmark regresses "
+                             "more than this (default: the --fail value)")
     parser.add_argument("--warn", type=float, default=0.05,
                         help="annotate individual entries drifting more than this")
     parser.add_argument("--no-normalize", action="store_true",
                         help="skip the anchor normalization (same-machine diffs)")
     args = parser.parse_args()
+    fail_entry = args.fail if args.fail_entry is None else args.fail_entry
     prefixes = []
     for entry in (args.prefix or ["BM_Stream"]):
         prefixes.extend(p for p in entry.split(",") if p)
@@ -112,9 +120,12 @@ def main():
         machine = geomean([ratios[n] for n in anchors])
 
     print(f"{'benchmark':40s} {'baseline':>12s} {'new':>12s} {'ratio':>7s} {'norm':>7s}")
+    failed_entries = []
     for name in common:
         norm = ratios[name] / machine
         in_gate = name.startswith(tuple(prefixes))
+        if in_gate and norm > 1 + fail_entry:
+            failed_entries.append((name, norm))
         marker = "  <-- slower" if in_gate and norm > 1 + args.warn else ""
         print(f"{name:40s} {base[name]:12.0f} {new[name]:12.0f} "
               f"{ratios[name]:6.2f}x {norm:6.2f}x{marker}")
@@ -128,9 +139,14 @@ def main():
           f"{machine:.3f}x")
     print(f"gated geomean ({prefix_label}*, {len(gated)} benchmarks, "
           f"normalized): {gated_geomean:.3f}x baseline")
+    for name, norm in failed_entries:
+        print(f"::error title=bench regression::{name} normalized "
+              f"{norm:.3f}x exceeds the {1 + fail_entry:.2f}x per-entry gate")
     if gated_geomean > 1 + args.fail:
         print(f"::error title=bench regression::{prefix_label}* normalized "
               f"geomean {gated_geomean:.3f}x exceeds the {1 + args.fail:.2f}x gate")
+        sys.exit(1)
+    if failed_entries:
         sys.exit(1)
     if gated_geomean > 1 + args.warn:
         print(f"::warning title=bench drift::{prefix_label}* normalized geomean "
