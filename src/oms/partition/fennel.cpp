@@ -1,7 +1,5 @@
 #include "oms/partition/fennel.hpp"
 
-#include "oms/stream/checkpoint.hpp"
-
 #include <cstdint>
 
 #include "oms/partition/sparse_select.hpp"
@@ -28,7 +26,7 @@ FennelPartitioner::FennelPartitioner(NodeId num_nodes, NodeWeight total_node_wei
       sparse_scan_(tuned_gamma_ && params.alpha > 0 &&
                    max_block_weight_ < (NodeWeight{1} << 31)),
       assignment_(num_nodes),
-      weights_(static_cast<std::size_t>(config.k)),
+      loads_(config.k),
       sqrt_(tuned_gamma_ ? max_block_weight_ : NodeWeight{-1}) {
   OMS_ASSERT(config.k >= 1);
 }
@@ -40,27 +38,7 @@ void FennelPartitioner::prepare(int num_threads) {
     s.touched.clear();
     s.candidates.assign(static_cast<std::size_t>(config_.k), 0);
   }
-  // Concurrent passes keep the O(k) scans: relaxed racy weight adds cannot
-  // keep a tournament tree consistent.
-  use_tree_ = sparse_scan_ && num_threads == 1;
-  rebuild_tree();
-}
-
-void FennelPartitioner::rebuild_tree() {
-  if (use_tree_) {
-    tree_.build(config_.k, [this](std::int32_t b) {
-      return weights_.load(static_cast<std::size_t>(b));
-    });
-  }
-}
-
-void FennelPartitioner::update_tree(BlockId b) {
-  if (use_tree_) {
-    const auto weights = weights_.view<BlockWeights::Layout::kDense>();
-    tree_.update(b, [weights](std::int32_t i) {
-      return weights.load(static_cast<std::size_t>(i));
-    });
-  }
+  loads_.prepare(sparse_scan_ && num_threads == 1);
 }
 
 BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
@@ -83,26 +61,14 @@ BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
   // whichever scan runs below; candidate_evaluations counts the blocks the
   // scan actually scores.
   counters.score_evaluations += static_cast<std::uint64_t>(config_.k);
-  BlockId best = kInvalidBlock;
-  double best_score = 0.0;
-  NodeWeight best_weight = 0;
+  BlockChoice choice;
   const EdgeWeight* const neighbor_weight = scratch.neighbor_weight.data();
   // Flat partitioners always keep the dense layout: a compile-time unit
   // stride and a cached sqrt keep the k-wide scan at a multiply per block.
-  const auto weights = weights_.view<BlockWeights::Layout::kDense>();
-  // Keeps the best (score desc, weight asc, index asc). The ascending dense
-  // loops never reach the index clause; the tree path needs it because it
-  // visits its candidates unsorted.
+  const auto weights = loads_.view();
   const auto consider = [&](BlockId b, NodeWeight w, double penalty) {
-    const double score =
-        static_cast<double>(neighbor_weight[static_cast<std::size_t>(b)]) - penalty;
-    if (best == kInvalidBlock || score > best_score ||
-        (score == best_score &&
-         (w < best_weight || (w == best_weight && b < best)))) {
-      best = b;
-      best_score = score;
-      best_weight = w;
-    }
+    choice.offer(b, static_cast<double>(neighbor_weight[static_cast<std::size_t>(b)]) - penalty,
+                 w);
   };
   const auto consider_tuned = [&](BlockId b) {
     const NodeWeight w = weights.load(static_cast<std::size_t>(b));
@@ -110,29 +76,18 @@ BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
       consider(b, w, penalty_factor_ * sqrt_(w));
     }
   };
-  if (use_tree_) {
-    // Exact O(deg + log k) selection over touched ∪ {root}, where the root is
-    // the lightest (weight, index) block. A zero-attraction root is the
-    // sparse scan's representative (sparse_select.hpp); an attracted root
-    // beats every zero-attraction block (edge weights are > 0 and the
-    // penalty increases); an infeasible root means every block is full, and
-    // it is then also the all-full fallback's answer.
-    counters.candidate_evaluations += scratch.touched.size() + 1;
-    for (const BlockId b : scratch.touched) {
-      consider_tuned(b);
-    }
-    const BlockId root = tree_.min_index();
-    consider_tuned(root);
-    if (best == kInvalidBlock) {
-      best = root;
-    }
+  if (loads_.tree_live()) {
+    // A zero-attraction lightest block is the sparse scan's representative
+    // (sparse_select.hpp); an attracted one beats every zero-attraction
+    // block, because edge weights are > 0 and the penalty increases.
+    loads_.select_sparse(scratch.touched, consider_tuned, counters);
   } else if (sparse_scan_) {
     // Exact sparse-candidate scan (see sparse_select.hpp for the dominance
     // argument): bit-identical winner, O(k) integer ops + O(deg) double ops
     // instead of O(k) double ops. sparse_scan_ guarantees 0 <= w <=
     // max_block_weight_ < 2^31 and a strictly increasing penalty.
     counters.candidate_evaluations += static_cast<std::uint64_t>(config_.k);
-    best = sparse_fennel_select(
+    choice.block = sparse_fennel_select(
         config_.k, node.weight, max_block_weight_, penalty_factor_, sqrt_,
         [&](std::int32_t b) { return weights.load(static_cast<std::size_t>(b)); },
         [&](std::int32_t b) {
@@ -154,23 +109,14 @@ BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
       consider(b, w, fennel_penalty(params_.alpha, params_.gamma, w));
     }
   }
-  if (best == kInvalidBlock) {
-    best = 0;
-    for (BlockId b = 1; b < config_.k; ++b) {
-      if (weights_.load(static_cast<std::size_t>(b)) <
-          weights_.load(static_cast<std::size_t>(best))) {
-        best = b;
-      }
-    }
-  }
+  const BlockId best = choice.block != kInvalidBlock ? choice.block : loads_.lightest();
 
   for (const BlockId b : scratch.touched) {
     scratch.neighbor_weight[static_cast<std::size_t>(b)] = 0;
   }
   scratch.touched.clear();
 
-  weights_.add(static_cast<std::size_t>(best), node.weight);
-  update_tree(best);
+  loads_.add(best, node.weight);
   assignment_.store(node.id, best);
   counters.layers_traversed += 1;
   return best;
@@ -179,26 +125,24 @@ BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
 void FennelPartitioner::unassign(NodeId u, NodeWeight weight) {
   const BlockId b = assignment_.load(u);
   OMS_ASSERT_MSG(b != kInvalidBlock, "unassign of a never-assigned node");
-  weights_.add(static_cast<std::size_t>(b), -weight);
-  update_tree(b);
+  loads_.add(b, -weight);
   assignment_.store(u, kInvalidBlock);
 }
 
 std::uint64_t FennelPartitioner::state_bytes() const noexcept {
   return assignment_.footprint_bytes() +
-         static_cast<std::uint64_t>(weights_.size() * sizeof(NodeWeight));
+         static_cast<std::uint64_t>(loads_.size() * sizeof(NodeWeight));
 }
 
 bool FennelPartitioner::save_stream_state(CheckpointWriter& w) const {
   save_assignment(w, assignment_);
-  save_block_weights(w, weights_);
+  loads_.save_state(w);
   return true;
 }
 
 bool FennelPartitioner::load_stream_state(CheckpointReader& r) {
   load_assignment(r, assignment_);
-  load_block_weights(r, weights_);
-  rebuild_tree(); // resume runs prepare() first, on zero weights
+  loads_.load_state(r);
   return true;
 }
 

@@ -11,11 +11,10 @@
 
 #include <vector>
 
+#include "oms/partition/flat_block_loads.hpp"
 #include "oms/partition/partition_config.hpp"
-#include "oms/stream/block_weights.hpp"
 #include "oms/stream/one_pass_driver.hpp"
 #include "oms/util/assignment_array.hpp"
-#include "oms/util/min_load_tree.hpp"
 #include "oms/util/sqrt_cache.hpp"
 
 namespace oms {
@@ -53,9 +52,6 @@ public:
   [[nodiscard]] bool load_stream_state(CheckpointReader& r) override;
 
 private:
-  void rebuild_tree();
-  void update_tree(BlockId b);
-
   struct Scratch {
     std::vector<EdgeWeight> neighbor_weight;
     std::vector<BlockId> touched;
@@ -70,11 +66,9 @@ private:
   double penalty_factor_;
   bool tuned_gamma_; ///< gamma == 3/2: penalty is penalty_factor_ * sqrt(w)
   bool sparse_scan_; ///< exact sparse-candidate scan applicable (see assign)
-  bool use_tree_ = false; ///< sparse_scan_ on a sequential pass: tree_ is live
   AssignmentArray assignment_;
-  BlockWeights weights_;
+  FlatBlockLoads loads_; ///< tree live on sequential passes with sparse_scan_
   SqrtCache sqrt_; ///< covers [0, max_block_weight_]
-  MinLoadTree tree_; ///< min-(weight, index) block; maintained iff use_tree_
   std::vector<Scratch> scratch_;
 };
 

@@ -1,7 +1,5 @@
 #include "oms/partition/ldg.hpp"
 
-#include "oms/stream/checkpoint.hpp"
-
 namespace oms {
 
 LdgPartitioner::LdgPartitioner(NodeId num_nodes, NodeWeight total_node_weight,
@@ -9,7 +7,7 @@ LdgPartitioner::LdgPartitioner(NodeId num_nodes, NodeWeight total_node_weight,
     : config_(config),
       max_block_weight_(max_block_weight(total_node_weight, config.k, config.epsilon)),
       assignment_(num_nodes),
-      weights_(static_cast<std::size_t>(config.k)) {
+      loads_(config.k) {
   OMS_ASSERT(config.k >= 1);
 }
 
@@ -19,27 +17,7 @@ void LdgPartitioner::prepare(int num_threads) {
     s.neighbor_weight.assign(static_cast<std::size_t>(config_.k), 0);
     s.touched.clear();
   }
-  // Concurrent passes keep the O(k) scan: relaxed racy weight adds cannot
-  // keep a tournament tree consistent.
-  use_tree_ = num_threads == 1;
-  rebuild_tree();
-}
-
-void LdgPartitioner::rebuild_tree() {
-  if (use_tree_) {
-    tree_.build(config_.k, [this](std::int32_t b) {
-      return weights_.load(static_cast<std::size_t>(b));
-    });
-  }
-}
-
-void LdgPartitioner::update_tree(BlockId b) {
-  if (use_tree_) {
-    const auto weights = weights_.view<BlockWeights::Layout::kDense>();
-    tree_.update(b, [weights](std::int32_t i) {
-      return weights.load(static_cast<std::size_t>(i));
-    });
-  }
+  loads_.prepare(num_threads == 1);
 }
 
 BlockId LdgPartitioner::assign(const StreamedNode& node, int thread_id,
@@ -61,16 +39,13 @@ BlockId LdgPartitioner::assign(const StreamedNode& node, int thread_id,
 
   // Score attraction * remaining-capacity penalty. The dense view gives the
   // k-wide scan a compile-time unit stride.
-  const auto weights = weights_.view<BlockWeights::Layout::kDense>();
+  const auto weights = loads_.view();
   const EdgeWeight* const neighbor_weight = scratch.neighbor_weight.data();
   const NodeWeight max_weight = max_block_weight_;
   counters.score_evaluations += static_cast<std::uint64_t>(config_.k);
-  BlockId best = kInvalidBlock;
-  double best_score = -1.0;
-  NodeWeight best_weight = 0;
-  // Keeps the best (score desc, weight asc, index asc): tie-break towards the
-  // lighter block (paper / Stanton-Kliot rule). The ascending dense loop
-  // never reaches the index clause; the tree path visits candidates unsorted.
+  // Ties go to the lighter block (paper / Stanton-Kliot rule). Zero-attraction
+  // blocks all score 0, so the tree path's lightest block stands for them.
+  BlockChoice choice;
   const auto consider = [&](BlockId b) {
     const NodeWeight w = weights.load(static_cast<std::size_t>(b));
     if (w + node.weight > max_weight) {
@@ -78,58 +53,28 @@ BlockId LdgPartitioner::assign(const StreamedNode& node, int thread_id,
     }
     const double penalty =
         1.0 - static_cast<double>(w) / static_cast<double>(max_weight);
-    const double score =
-        static_cast<double>(neighbor_weight[static_cast<std::size_t>(b)]) * penalty;
-    if (best == kInvalidBlock || score > best_score ||
-        (score == best_score &&
-         (w < best_weight || (w == best_weight && b < best)))) {
-      best = b;
-      best_score = score;
-      best_weight = w;
-    }
+    choice.offer(b, static_cast<double>(neighbor_weight[static_cast<std::size_t>(b)]) *
+                        penalty,
+                 w);
   };
-  if (use_tree_) {
-    // Exact O(deg + log k) selection over touched ∪ {root}, where the root is
-    // the lightest (weight, index) block. Every feasible zero-attraction
-    // block scores 0, so the root wins among them; an attracted root scores
-    // >= 0 at the lowest (weight, index) and so ties-and-wins or wins
-    // outright; an infeasible root means every block is full, and it is then
-    // also the all-full fallback's answer.
-    counters.candidate_evaluations += scratch.touched.size() + 1;
-    for (const BlockId b : scratch.touched) {
-      consider(b);
-    }
-    const BlockId root = tree_.min_index();
-    consider(root);
-    if (best == kInvalidBlock) {
-      best = root;
-    }
+  if (loads_.tree_live()) {
+    loads_.select_sparse(scratch.touched, consider, counters);
   } else {
     counters.candidate_evaluations += static_cast<std::uint64_t>(config_.k);
     for (BlockId b = 0; b < config_.k; ++b) {
       consider(b);
     }
   }
-  if (best == kInvalidBlock) {
-    // All blocks at capacity (eps = 0 with uneven node weights, or
-    // transiently under parallel overshoot): fall back to the globally
-    // lightest block.
-    best = 0;
-    for (BlockId b = 1; b < config_.k; ++b) {
-      if (weights.load(static_cast<std::size_t>(b)) <
-          weights.load(static_cast<std::size_t>(best))) {
-        best = b;
-      }
-    }
-  }
+  // All blocks at capacity (eps = 0 with uneven node weights, or transiently
+  // under parallel overshoot): fall back to the globally lightest block.
+  const BlockId best = choice.block != kInvalidBlock ? choice.block : loads_.lightest();
 
   for (const BlockId b : scratch.touched) {
     scratch.neighbor_weight[static_cast<std::size_t>(b)] = 0;
   }
   scratch.touched.clear();
 
-  weights_.add(static_cast<std::size_t>(best), node.weight);
-  update_tree(best);
+  loads_.add(best, node.weight);
   assignment_.store(node.id, best);
   counters.layers_traversed += 1;
   return best;
@@ -138,26 +83,24 @@ BlockId LdgPartitioner::assign(const StreamedNode& node, int thread_id,
 void LdgPartitioner::unassign(NodeId u, NodeWeight weight) {
   const BlockId b = assignment_.load(u);
   OMS_ASSERT_MSG(b != kInvalidBlock, "unassign of a never-assigned node");
-  weights_.add(static_cast<std::size_t>(b), -weight);
-  update_tree(b);
+  loads_.add(b, -weight);
   assignment_.store(u, kInvalidBlock);
 }
 
 std::uint64_t LdgPartitioner::state_bytes() const noexcept {
   return assignment_.footprint_bytes() +
-         static_cast<std::uint64_t>(weights_.size() * sizeof(NodeWeight));
+         static_cast<std::uint64_t>(loads_.size() * sizeof(NodeWeight));
 }
 
 bool LdgPartitioner::save_stream_state(CheckpointWriter& w) const {
   save_assignment(w, assignment_);
-  save_block_weights(w, weights_);
+  loads_.save_state(w);
   return true;
 }
 
 bool LdgPartitioner::load_stream_state(CheckpointReader& r) {
   load_assignment(r, assignment_);
-  load_block_weights(r, weights_);
-  rebuild_tree(); // resume runs prepare() first, on zero weights
+  loads_.load_state(r);
   return true;
 }
 

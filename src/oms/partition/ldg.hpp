@@ -8,11 +8,10 @@
 
 #include <vector>
 
+#include "oms/partition/flat_block_loads.hpp"
 #include "oms/partition/partition_config.hpp"
-#include "oms/stream/block_weights.hpp"
 #include "oms/stream/one_pass_driver.hpp"
 #include "oms/util/assignment_array.hpp"
-#include "oms/util/min_load_tree.hpp"
 
 namespace oms {
 
@@ -43,9 +42,6 @@ public:
   [[nodiscard]] bool load_stream_state(CheckpointReader& r) override;
 
 private:
-  void rebuild_tree();
-  void update_tree(BlockId b);
-
   struct Scratch {
     std::vector<EdgeWeight> neighbor_weight; // size k, reset via touched list
     std::vector<BlockId> touched;
@@ -54,9 +50,7 @@ private:
   PartitionConfig config_;
   NodeWeight max_block_weight_;
   AssignmentArray assignment_;
-  BlockWeights weights_;
-  bool use_tree_ = false; ///< sequential pass: tree_ is live
-  MinLoadTree tree_;      ///< min-(weight, index) block; maintained iff use_tree_
+  FlatBlockLoads loads_; ///< tree live on sequential passes
   std::vector<Scratch> scratch_;
 };
 
