@@ -79,7 +79,10 @@ int main() {
       for (int rep = 0; rep < env.repetitions; ++rep) {
         partitioner = algo.make();
         Timer timer;
-        const auto result = run_edge_partition_from_file(path, *partitioner);
+        PipelineConfig sequential;
+        sequential.ring_batches = 0; // no reader thread
+        EdgeListStream stream(path);
+        const auto result = run_stream(stream, *partitioner, sequential);
         const double t = timer.elapsed_s();
         if (rep == 0 || t < best_time) {
           best_time = t;
@@ -128,9 +131,13 @@ int main() {
     {
       HdrfPartitioner sequential(config);
       HdrfPartitioner pipelined(config);
-      const auto seq = run_edge_partition_from_file(path, sequential);
+      PipelineConfig seq_config;
+      seq_config.ring_batches = 0; // no reader thread
+      EdgeListStream seq_stream(path);
+      const auto seq = run_stream(seq_stream, sequential, seq_config);
       PipelineConfig pipe_config;
-      const auto pipe = run_edge_partition_from_file(path, pipelined, pipe_config);
+      EdgeListStream pipe_stream(path, pipe_config.reader_buffer_bytes);
+      const auto pipe = run_stream(pipe_stream, pipelined, pipe_config);
       if (seq.edge_assignment != pipe.edge_assignment) {
         std::cerr << "FAIL [" << spec.name
                   << "]: pipelined edge assignment differs from sequential\n";

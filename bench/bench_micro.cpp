@@ -157,9 +157,9 @@ void BM_MetisStreamRead(benchmark::State& state) {
 }
 BENCHMARK(BM_MetisStreamRead);
 
-/// Disk-backed end-to-end partition runs: the sequential driver interleaves
-/// parse and assign on one core; the pipelined driver overlaps them with a
-/// dedicated reader thread. Same file, same assigner, same decisions — the
+/// Disk-backed end-to-end partition runs: the sequential route alternates
+/// parse and assign batches on one core; the pipelined route overlaps them
+/// with a dedicated reader thread. Same file, same assigner, same decisions — the
 /// gap between the two entries is the parse/assign overlap win.
 template <bool kPipelined>
 void metis_stream_partition(benchmark::State& state) {
@@ -172,13 +172,12 @@ void metis_stream_partition(benchmark::State& state) {
     pc.k = 256;
     FennelPartitioner fennel(graph.num_nodes(), graph.num_edges(),
                              graph.total_node_weight(), pc);
-    StreamResult r;
-    if constexpr (kPipelined) {
-      PipelineConfig config; // 1 assign thread: bit-identical to sequential
-      r = run_one_pass_from_file(path, fennel, config);
-    } else {
-      r = run_one_pass_from_file(path, fennel);
+    PipelineConfig config; // 1 assign thread: bit-identical to sequential
+    if constexpr (!kPipelined) {
+      config.ring_batches = 0; // no reader thread
     }
+    MetisNodeStream stream(path);
+    const StreamResult r = run_stream(stream, fennel, config);
     benchmark::DoNotOptimize(r.assignment.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -199,7 +198,7 @@ BENCHMARK(BM_MetisStreamPartitionPipelined);
 void BM_TelemetryOverhead(benchmark::State& state) {
   // The cost of the permanently compiled telemetry hooks on the densest
   // instrumented surface, the sequential disk-stream partition (per-line
-  // reader hooks + per-4096-node flushes). Arg(0) runs disarmed — the
+  // reader hooks + per-batch spans and counters). Arg(0) runs disarmed — the
   // production default, where every hook is one relaxed load and the /0
   // entry must stay within noise of BM_MetisStreamPartitionSeq — and Arg(1)
   // runs with a registry armed, pinning the full instrumentation cost.
@@ -217,7 +216,10 @@ void BM_TelemetryOverhead(benchmark::State& state) {
     pc.k = 256;
     FennelPartitioner fennel(graph.num_nodes(), graph.num_edges(),
                              graph.total_node_weight(), pc);
-    const StreamResult r = run_one_pass_from_file(path, fennel);
+    PipelineConfig sequential;
+    sequential.ring_batches = 0;
+    MetisNodeStream stream(path);
+    const StreamResult r = run_stream(stream, fennel, sequential);
     benchmark::DoNotOptimize(r.assignment.data());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -63,11 +63,14 @@ int main() {
 
   int failures = 0;
 
-  // Reference: the sequential driver (parse and assign interleaved).
+  // Reference: the sequential route (parse and assign alternate per batch).
   std::vector<BlockId> sequential_assignment;
   const double seq_time = timed_best([&] {
     OnlineMultisection oms = make_oms();
-    sequential_assignment = run_one_pass_from_file(path, oms).assignment;
+    PipelineConfig sequential;
+    sequential.ring_batches = 0; // no reader thread
+    MetisNodeStream stream(path);
+    sequential_assignment = run_stream(stream, oms, sequential).assignment;
   });
 
   TablePrinter table({"mode", "io-threads", "time [s]", "vs seq"});
@@ -84,14 +87,15 @@ int main() {
     std::vector<BlockId> assignment;
     const double t = timed_best([&] {
       OnlineMultisection oms = make_oms();
-      assignment = run_one_pass_from_file(path, oms, config).assignment;
+      MetisNodeStream stream(path, config.reader_buffer_bytes);
+      assignment = run_stream(stream, oms, config).assignment;
     });
 
     if (consumers == 1) {
       // Contract 1: parse-ahead reorders work, not decisions.
       if (assignment != sequential_assignment) {
         std::cerr << "FAIL: single-consumer pipelined assignment differs from "
-                     "the sequential driver\n";
+                     "the sequential route\n";
         ++failures;
       }
     } else {

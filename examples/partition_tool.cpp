@@ -25,12 +25,14 @@
 /// (implies --from-disk) overlaps parsing with assignment: a dedicated
 /// reader thread parses batches while --io-threads consumer threads assign
 /// them (1, the default, keeps the sequential stream order bit-for-bit;
-/// window, buffered and vertex-cut assignment are inherently sequential, so
-/// there the pipeline overlaps parsing only).
+/// window, buffered, vertex-cut and checkpointing runs need that one ordered
+/// consumer, so there the pipeline overlaps parsing only and any other
+/// --io-threads is a usage error).
 ///
 /// Fault tolerance: --checkpoint snapshots the run every --checkpoint-every
-/// streamed nodes (one-pass algorithms and buffered; sequential disk
-/// streaming only) and --resume continues a killed run bit-identically.
+/// streamed nodes (one-pass algorithms and buffered; METIS node streams,
+/// with or without --pipeline) and --resume continues a killed run
+/// bit-identically.
 /// --on-error=skip tolerates up to --error-budget malformed data lines
 /// instead of aborting on the first one. OMS_FAULTS / OMS_FAULT_SEED arm the
 /// deterministic fault-injection schedule (test harness).
@@ -82,9 +84,10 @@ namespace {
 /// request keeps them accurate without re-implementing any dispatch logic.
 void print_thread_notes(const oms::PartitionRequest& req) {
   if (req.format == "edgelist") {
-    if (req.threads > 1 || req.io_threads > 1) {
-      std::cerr << "note: vertex-cut assignment is sequential; --pipeline "
-                   "overlaps parsing only (ignoring thread counts > 1)\n";
+    if (req.threads > 1) {
+      std::cerr << "note: vertex-cut assignment is sequential; ignoring "
+                   "--threads "
+                << req.threads << "\n";
     }
     return;
   }
@@ -93,11 +96,6 @@ void print_thread_notes(const oms::PartitionRequest& req) {
       std::cerr << "note: the disk stream is sequential; ignoring --threads "
                 << req.threads << " (use --pipeline --io-threads for "
                    "parse/assign overlap)\n";
-    }
-    if (req.algo == "buffered" && req.pipeline && req.io_threads != 1) {
-      std::cerr << "note: buffered model building is sequential; --pipeline "
-                   "overlaps parsing only (ignoring --io-threads "
-                << req.io_threads << ")\n";
     }
     return;
   }

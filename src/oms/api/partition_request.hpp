@@ -1,14 +1,13 @@
 /// \file partition_request.hpp
 /// \brief The one request struct behind every partitioning entry point.
 ///
-/// Historically the library surface was ~10 scattered free-function drivers
-/// (run_one_pass_from_file, buffered_partition_from_file[_resumable], the
-/// window via make-an-assigner, the edge-partition driver, ...), each taking
-/// a different config struct, so every tool re-implemented the dispatch.
-/// PartitionRequest unifies PartitionConfig, BufferedConfig, WindowConfig,
-/// EdgePartConfig and the checkpoint/pipeline/error-policy options into a
-/// single description of "partition this input like so"; oms::Partitioner
-/// (api/partitioner.hpp) turns it into a PartitionArtifact. The CLI flags of
+/// Below it the library has the in-memory drivers and one disk driver,
+/// run_stream(source, consumer, policy) (stream/pipeline.hpp), each taking
+/// its own algorithm config. PartitionRequest unifies PartitionConfig,
+/// BufferedConfig, WindowConfig, EdgePartConfig and the checkpoint/pipeline/
+/// error-policy options into a single description of "partition this input
+/// like so"; oms::Partitioner (api/partitioner.hpp) turns it into a
+/// PartitionArtifact. The CLI flags of
 /// partition_tool and oms_serve map onto these fields one to one
 /// (cli/parse_request.hpp).
 #pragma once
@@ -69,7 +68,7 @@ struct PartitionRequest {
   // --- execution ---------------------------------------------------------
   bool from_disk = false;
   bool pipeline = false;      ///< implies from_disk
-  int io_threads = 1;         ///< pipeline consumers (one-pass node algos)
+  int io_threads = 1;         ///< pipeline consumers (unordered one-pass runs)
   std::uint64_t watchdog_ms = 0;
 
   // --- fault tolerance ---------------------------------------------------

@@ -22,10 +22,8 @@
 #include "oms/partition/hashing.hpp"
 #include "oms/partition/ldg.hpp"
 #include "oms/partition/metrics.hpp"
-#include "oms/stream/buffered_stream_driver.hpp"
 #include "oms/stream/checkpoint.hpp"
 #include "oms/stream/error_policy.hpp"
-#include "oms/stream/metis_stream.hpp"
 #include "oms/stream/pipeline.hpp"
 #include "oms/stream/window_partitioner.hpp"
 #include "oms/telemetry/metrics.hpp"
@@ -139,14 +137,6 @@ void validate_tuning(const PartitionRequest& req) {
   return bc;
 }
 
-[[nodiscard]] StreamErrorPolicy error_policy_of(const PartitionRequest& req) {
-  StreamErrorPolicy policy;
-  policy.action = req.on_error == "skip" ? StreamErrorPolicy::Action::kSkip
-                                         : StreamErrorPolicy::Action::kAbort;
-  policy.skip_budget = req.error_budget;
-  return policy;
-}
-
 /// Artifact scaffolding shared by every route.
 [[nodiscard]] PartitionArtifact base_artifact(const PartitionRequest& req,
                                               std::optional<SystemHierarchy> topo) {
@@ -158,95 +148,104 @@ void validate_tuning(const PartitionRequest& req) {
   return artifact;
 }
 
-/// The vertex-cut route: stream the edge list one pass from disk through an
-/// edgepart assigner; metrics come from the partitioner's replica state.
-[[nodiscard]] PartitionArtifact partition_edge_stream(
-    const PartitionRequest& req, std::optional<SystemHierarchy> topo) {
+/// The run_stream policy of a disk-streaming request: --pipeline adds the
+/// reader thread (and --io-threads consumers), everything else maps 1:1.
+[[nodiscard]] PipelineConfig policy_of(const PartitionRequest& req) {
+  PipelineConfig policy;
+  if (req.pipeline) {
+    policy.assign_threads = req.io_threads;
+  } else {
+    policy.ring_batches = 0; // sequential: no reader thread
+  }
+  policy.watchdog_ms = req.watchdog_ms;
+  policy.error_policy.action = req.on_error == "skip"
+                                  ? StreamErrorPolicy::Action::kSkip
+                                  : StreamErrorPolicy::Action::kAbort;
+  policy.error_policy.skip_budget = req.error_budget;
+  policy.checkpoint.path = req.checkpoint;
+  policy.checkpoint.every_nodes = req.checkpoint_every;
+  return policy;
+}
+
+[[nodiscard]] std::unique_ptr<StreamingEdgePartitioner> make_edge_partitioner(
+    const PartitionRequest& req, const std::optional<SystemHierarchy>& topo) {
   EdgePartConfig config;
   config.k = req.k;
   config.lambda = req.lambda;
   config.epsilon = req.epsilon;
   config.seed = req.seed;
-  std::unique_ptr<StreamingEdgePartitioner> partitioner;
   if (topo.has_value()) {
-    partitioner = std::make_unique<HierarchicalHdrfPartitioner>(*topo, config);
-  } else if (req.algo == "hdrf") {
-    partitioner = std::make_unique<HdrfPartitioner>(config);
-  } else if (req.algo == "dbh") {
-    partitioner = std::make_unique<DbhPartitioner>(config);
-  } else {
-    partitioner = std::make_unique<Grid2dPartitioner>(config);
+    return std::make_unique<HierarchicalHdrfPartitioner>(*topo, config);
   }
-
-  PartitionArtifact artifact = base_artifact(req, std::move(topo));
-  EdgePartitionResult result;
-  if (req.pipeline) {
-    PipelineConfig pipeline;
-    pipeline.watchdog_ms = req.watchdog_ms;
-    pipeline.error_policy = error_policy_of(req);
-    pipeline.error_stats_out = &artifact.skip_stats;
-    result = run_edge_partition_from_file(req.graph_path, *partitioner, pipeline);
-  } else {
-    result = run_edge_partition_from_file(req.graph_path, *partitioner,
-                                          error_policy_of(req),
-                                          &artifact.skip_stats);
+  if (req.algo == "hdrf") {
+    return std::make_unique<HdrfPartitioner>(config);
   }
-
-  artifact.edge_partition = true;
-  artifact.num_nodes = result.stats.num_vertices;
-  artifact.num_edges = result.stats.num_edges;
-  artifact.self_loops_skipped = result.stats.self_loops_skipped;
-  artifact.elapsed_s = result.elapsed_s;
-  artifact.metrics.replication_factor = replication_factor(partitioner->replicas());
-  artifact.metrics.edge_imbalance = edge_imbalance(partitioner->edge_loads());
-  if (artifact.hierarchy.has_value()) {
-    artifact.metrics.replica_cost = static_cast<double>(
-        hierarchical_replica_cost(partitioner->replicas(), *artifact.hierarchy));
+  if (req.algo == "dbh") {
+    return std::make_unique<DbhPartitioner>(config);
   }
-  artifact.assignment = std::move(result.edge_assignment);
-  artifact.rebuild_tree();
-  return artifact;
+  return std::make_unique<Grid2dPartitioner>(config);
 }
 
-/// The disk-native node-stream route: one-pass (plain, pipelined or
-/// resumable) and the buffered drivers, never materializing the graph.
-[[nodiscard]] PartitionArtifact partition_metis_stream(
-    const PartitionRequest& req, std::optional<SystemHierarchy> topo) {
-  // True streaming: only the header is read ahead of time. Capacity bounds
-  // assume unit node weights (total = n), which the header lets us check.
-  MetisNodeStream probe(req.graph_path);
-  const MetisHeader header = probe.header();
+/// Load --resume and check it against the consumer about to continue it: a
+/// checkpoint from a different algorithm, k, seed or graph is a usage error
+/// (InvalidRequest), not a mid-stream IoError.
+template <typename Consumer>
+[[nodiscard]] std::optional<CheckpointState> load_resume(
+    const PartitionRequest& req, const Consumer& consumer, NodeId num_nodes) {
+  if (req.resume.empty()) {
+    return std::nullopt;
+  }
+  try {
+    CheckpointState state = read_checkpoint_file(req.resume);
+    CheckpointMeta expected;
+    consumer.stamp_checkpoint(expected);
+    validate_resume(state.meta, expected.algo, static_cast<std::uint64_t>(req.k),
+                    expected.seed, num_nodes);
+    return state;
+  } catch (const IoError& e) {
+    throw InvalidRequest(e.what());
+  }
+}
+
+/// The disk-streaming route: open the input once, build the consumer from
+/// what the source reveals, and hand both to run_stream. Never materializes
+/// the graph.
+[[nodiscard]] PartitionArtifact partition_stream(const PartitionRequest& req,
+                                                 std::optional<SystemHierarchy> topo) {
+  PartitionArtifact artifact = base_artifact(req, std::move(topo));
+  PipelineConfig policy = policy_of(req);
+  if (req.format == "edgelist") {
+    EdgeListStream source(req.graph_path);
+    const auto partitioner = make_edge_partitioner(req, artifact.hierarchy);
+    EdgePartitionResult result = run_stream(source, *partitioner, policy);
+    // Replica metrics come from the partitioner's state, not the graph.
+    artifact.edge_partition = true;
+    artifact.num_nodes = result.stats.num_vertices;
+    artifact.num_edges = result.stats.num_edges;
+    artifact.self_loops_skipped = result.stats.self_loops_skipped;
+    artifact.elapsed_s = result.elapsed_s;
+    artifact.skip_stats = std::move(result.skipped);
+    artifact.metrics.replication_factor = replication_factor(partitioner->replicas());
+    artifact.metrics.edge_imbalance = edge_imbalance(partitioner->edge_loads());
+    if (artifact.hierarchy.has_value()) {
+      artifact.metrics.replica_cost = static_cast<double>(
+          hierarchical_replica_cost(partitioner->replicas(), *artifact.hierarchy));
+    }
+    artifact.assignment = std::move(result.edge_assignment);
+    artifact.rebuild_tree();
+    return artifact;
+  }
+
+  // The header comes from the stream the run consumes, so the input is
+  // opened once (a pipe works). Capacity bounds assume unit node weights
+  // (total = n), which the header lets us check.
+  MetisNodeStream source(req.graph_path, policy.reader_buffer_bytes);
+  const MetisHeader header = source.header();
   if (header.has_node_weights) {
     throw InvalidRequest(
         "--from-disk assumes unit node weights; this graph has node weights "
         "(load it without --from-disk)");
   }
-  const bool checkpointing = !req.checkpoint.empty() || !req.resume.empty();
-  // Resume validation happens up front, against the header of the *actual*
-  // input: a checkpoint from a different algorithm, k, seed or graph is a
-  // usage error (InvalidRequest), not a mid-stream IoError.
-  const std::string ckpt_algo =
-      req.algo == "buffered"
-          ? std::string(buffered_checkpoint_algo_id(buffered_config(req, topo)))
-          : req.algo;
-  std::optional<CheckpointState> resume_state;
-  if (!req.resume.empty()) {
-    try {
-      resume_state = read_checkpoint_file(req.resume);
-      validate_resume(resume_state->meta, ckpt_algo,
-                      static_cast<std::uint64_t>(req.k), req.seed,
-                      header.num_nodes);
-    } catch (const IoError& e) {
-      throw InvalidRequest(e.what());
-    }
-  }
-  const CheckpointState* resume_ptr =
-      resume_state.has_value() ? &*resume_state : nullptr;
-  CheckpointConfig ckpt;
-  ckpt.path = req.checkpoint;
-  ckpt.every_nodes = req.checkpoint_every;
-
-  PartitionArtifact artifact = base_artifact(req, std::move(topo));
   artifact.num_nodes = header.num_nodes;
   artifact.num_edges = header.num_edges;
   // The header announces the stream size up front — that is what turns the
@@ -256,45 +255,27 @@ void validate_tuning(const PartitionRequest& req) {
   if (req.algo == "buffered") {
     const BufferedConfig bc = buffered_config(req, artifact.hierarchy);
     artifact.algo = buffered_checkpoint_algo_id(bc);
-    BufferedResult br;
-    if (req.pipeline) {
-      // The buffered model has its own driver: whole buffers are modeled and
-      // refined jointly, with the pipeline parsing the next buffers ahead.
-      PipelineConfig pipeline;
-      pipeline.watchdog_ms = req.watchdog_ms;
-      br = buffered_partition_from_file(req.graph_path, req.k, bc, pipeline);
-    } else if (checkpointing) {
-      br = buffered_partition_from_file_resumable(req.graph_path, req.k, bc,
-                                                  ckpt, resume_ptr);
-    } else {
-      br = buffered_partition_from_file(req.graph_path, req.k, bc);
-    }
-    artifact.assignment = std::move(br.assignment);
-    artifact.elapsed_s = br.elapsed_s;
+    BufferedPartitioner core(header.num_nodes,
+                             static_cast<NodeWeight>(header.num_nodes), req.k, bc);
+    const std::optional<CheckpointState> resume =
+        load_resume(req, core, header.num_nodes);
+    policy.resume = resume.has_value() ? &*resume : nullptr;
+    BufferedResult result = run_stream(source, core, policy);
+    artifact.assignment = std::move(result.assignment);
+    artifact.elapsed_s = result.elapsed_s;
+    artifact.skip_stats = std::move(result.skipped);
   } else {
     auto assigner = make_assigner(req, artifact.hierarchy, header.num_nodes,
                                   header.num_edges,
                                   static_cast<NodeWeight>(header.num_nodes));
-    StreamResult result;
-    if (req.pipeline) {
-      PipelineConfig pipeline;
-      pipeline.assign_threads = req.io_threads;
-      pipeline.watchdog_ms = req.watchdog_ms;
-      pipeline.error_policy = error_policy_of(req);
-      pipeline.error_stats_out = &artifact.skip_stats;
-      result = run_one_pass_from_file(req.graph_path, *assigner, pipeline);
-    } else {
-      // The sequential disk path is the checkpointing driver; with no
-      // checkpoint/resume it degenerates to the plain one-pass loop.
-      MetisNodeStream stream(req.graph_path, MetisNodeStream::kDefaultBufferBytes);
-      stream.set_error_policy(error_policy_of(req));
-      result = run_one_pass_resumable(stream, *assigner, ckpt_algo, req.seed,
-                                      ckpt, resume_ptr);
-      artifact.skip_stats = stream.error_stats();
-    }
+    const std::optional<CheckpointState> resume =
+        load_resume(req, *assigner, header.num_nodes);
+    policy.resume = resume.has_value() ? &*resume : nullptr;
+    StreamResult result = run_stream(source, *assigner, policy);
     artifact.assignment = std::move(result.assignment);
     artifact.elapsed_s = result.elapsed_s;
     artifact.work = result.work;
+    artifact.skip_stats = std::move(result.skipped);
   }
   artifact.rebuild_tree();
   return artifact;
@@ -373,21 +354,16 @@ PartitionRequest Partitioner::normalize(PartitionRequest req) {
     throw InvalidRequest("need --k or --hierarchy");
   }
   validate_tuning(req);
-  // Checkpoint/resume gating: the checkpointing drivers are the sequential
-  // disk streamers for the one-pass algorithms and the buffered model.
+  // Capability check: snapshots need a METIS node stream (an edge list
+  // would need HDRF/DBH/Grid state serialization) and a consumer with
+  // save/load_stream_state (the window keeps delayed nodes in flight).
   const bool checkpointing = !req.checkpoint.empty() || !req.resume.empty();
   if (checkpointing) {
-    if (edge_list) {
-      throw InvalidRequest("--checkpoint/--resume support METIS node streams "
-                           "only (not edge lists)");
-    }
-    if (req.pipeline) {
-      throw InvalidRequest("--checkpoint/--resume are incompatible with "
-                           "--pipeline (the checkpointing driver is sequential)");
-    }
-    if (req.algo == "window") {
-      throw InvalidRequest("--algo window does not support --checkpoint/--resume "
-                           "(window state is not checkpointable)");
+    if (edge_list || req.algo == "window") {
+      throw InvalidRequest(
+          std::string("--checkpoint/--resume are not supported for ") +
+          (edge_list ? "edge lists" : "--algo window") +
+          " (only METIS node streams with a checkpointable algorithm)");
     }
     if (req.checkpoint_every < 1) {
       throw InvalidRequest("--checkpoint-every must be >= 1");
@@ -403,19 +379,23 @@ PartitionRequest Partitioner::normalize(PartitionRequest req) {
     throw InvalidRequest("--on-error skip applies to streaming runs; add "
                          "--from-disk (or use an edge-list input)");
   }
-  if (skip_errors && req.algo == "buffered") {
-    throw InvalidRequest("--on-error skip is not supported with --algo buffered");
-  }
-  // Unsupported combinations get exactly one diagnostic each. Window and
-  // buffered stream from disk like the one-pass algorithms; the only
-  // structural limit left is that both commit nodes in stream order, so the
-  // pipeline can overlap parsing but never fan assignment out.
-  if (req.algo == "window" && req.pipeline && req.io_threads != 1) {
-    throw InvalidRequest("--algo window is sequential; --pipeline supports only "
-                         "--io-threads 1");
-  }
   if ((req.from_disk || edge_list) && req.io_threads < 0) {
     throw InvalidRequest("--io-threads must be >= 0 (0 = all hardware threads)");
+  }
+  // One ordered consumer: the window, the buffered model, the vertex-cut
+  // assigners and every checkpointing run commit in stream order, so the
+  // pipeline can overlap parsing but never fan assignment out.
+  if (req.pipeline && req.io_threads != 1) {
+    const char* ordered = req.algo == "window"     ? "--algo window"
+                          : req.algo == "buffered" ? "--algo buffered"
+                          : edge_list              ? "edge-list streaming"
+                          : checkpointing          ? "--checkpoint/--resume"
+                                                   : nullptr;
+    if (ordered != nullptr) {
+      throw InvalidRequest(std::string(ordered) +
+                           " needs one ordered consumer; --pipeline supports "
+                           "only --io-threads 1");
+    }
   }
   if (edge_list) {
     if (req.hierarchy.has_value() && req.algo != "hdrf") {
@@ -440,12 +420,10 @@ PartitionRequest Partitioner::normalize(PartitionRequest req) {
        !std::ifstream(req.graph_path).good())) {
     throw InvalidRequest("cannot open graph file '" + req.graph_path + "'");
   }
-  if (!edge_list && req.from_disk &&
-      !std::filesystem::is_regular_file(graph_status)) {
-    // --from-disk opens the file twice (header probe, then the full stream),
-    // which a FIFO cannot replay. (The edge-list path opens it exactly once,
-    // so it has no such restriction.)
-    throw InvalidRequest("--from-disk needs a regular file, not a pipe");
+  if (!req.resume.empty() && !std::filesystem::is_regular_file(graph_status)) {
+    // Resuming seeks to the recorded byte offset, which a FIFO cannot do.
+    // (Every streaming run opens the input once, so a pipe works otherwise.)
+    throw InvalidRequest("--resume needs a regular file, not a pipe");
   }
   return req;
 }
@@ -453,11 +431,8 @@ PartitionRequest Partitioner::normalize(PartitionRequest req) {
 PartitionArtifact Partitioner::partition(const PartitionRequest& request) const {
   const PartitionRequest req = normalize(request);
   std::optional<SystemHierarchy> topo = topo_of(req);
-  if (req.format == "edgelist") {
-    return partition_edge_stream(req, std::move(topo));
-  }
-  if (req.from_disk) {
-    return partition_metis_stream(req, std::move(topo));
+  if (req.format == "edgelist" || req.from_disk) {
+    return partition_stream(req, std::move(topo));
   }
   const CsrGraph graph = read_metis(req.graph_path);
   return partition_in_memory(graph, req, std::move(topo));

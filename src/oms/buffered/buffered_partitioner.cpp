@@ -23,6 +23,8 @@ BufferedPartitioner::BufferedPartitioner(NodeId num_nodes,
                                          NodeWeight total_node_weight, BlockId k,
                                          const BufferedConfig& config)
     : k_(k),
+      buffer_size_(config.buffer_size),
+      rng_seed_(config.seed),
       lmax_(oms::max_block_weight(total_node_weight, k, config.epsilon)),
       refinement_iterations_(config.refinement_iterations),
       engine_(config.engine),
@@ -542,7 +544,7 @@ std::vector<BlockId> BufferedPartitioner::take_assignment() {
   return std::move(assignment_);
 }
 
-void BufferedPartitioner::save_stream_state(CheckpointWriter& w) const {
+bool BufferedPartitioner::save_stream_state(CheckpointWriter& w) const {
   save_assignment(w, assignment_);
   w.put_u64(block_weight_.size());
   for (const NodeWeight bw : block_weight_) {
@@ -557,9 +559,10 @@ void BufferedPartitioner::save_stream_state(CheckpointWriter& w) const {
     w.put_i64(0);
     w.put_u64(0);
   }
+  return true;
 }
 
-void BufferedPartitioner::load_stream_state(CheckpointReader& r) {
+bool BufferedPartitioner::load_stream_state(CheckpointReader& r) {
   load_assignment(r, assignment_);
   if (r.get_u64() != block_weight_.size()) {
     throw IoError("checkpoint: block weight count mismatch");
@@ -575,6 +578,14 @@ void BufferedPartitioner::load_stream_state(CheckpointReader& r) {
   if (ml_ != nullptr) {
     ml_->restore_backoff(streak, skip);
   }
+  return true;
+}
+
+void BufferedPartitioner::stamp_checkpoint(CheckpointMeta& meta) const {
+  BufferedConfig config;
+  config.engine = engine_;
+  meta.algo = buffered_checkpoint_algo_id(config);
+  meta.seed = rng_seed_;
 }
 
 BufferedResult buffered_partition(const CsrGraph& graph, BlockId k,
@@ -589,6 +600,9 @@ BufferedResult buffered_partition(const CsrGraph& graph, BlockId k,
     core.process_graph_range(graph, begin, end);
   }
 
+  // One end-of-run publish, as run_one_pass does: --metrics-out and
+  // --progress see the streamed node count on the in-memory route too.
+  telemetry::metric_add(telemetry::Counter::kStreamNodes, graph.num_nodes());
   BufferedResult result;
   result.buffers_processed = core.buffers_processed();
   result.assignment = core.take_assignment();

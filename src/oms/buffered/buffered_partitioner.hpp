@@ -20,8 +20,8 @@
 /// at build time — so the optimization loops never re-walk a raw
 /// neighborhood. Refinement is an active-set sweep: only nodes whose
 /// neighborhood changed are revisited, and it is deterministic (no RNG).
-/// The in-memory buffered_partition() entry point and the disk-native driver
-/// (stream/buffered_stream_driver.hpp) both run this core on identical
+/// The in-memory buffered_partition() entry point and the disk stream
+/// (run_stream, stream/pipeline.hpp) both run this core on identical
 /// batches, so their partitions coincide bit for bit on the same node order.
 #pragma once
 
@@ -31,6 +31,7 @@
 
 #include "oms/graph/csr_graph.hpp"
 #include "oms/partition/partition_config.hpp"
+#include "oms/stream/error_policy.hpp"
 #include "oms/stream/node_batch.hpp"
 #include "oms/types.hpp"
 
@@ -39,6 +40,7 @@ namespace oms {
 class BufferMultilevel;
 class CheckpointReader;
 class CheckpointWriter;
+struct CheckpointMeta;
 class SystemHierarchy;
 
 /// Inner optimization engine run on each buffer-local model.
@@ -85,7 +87,16 @@ struct BufferedResult {
   std::vector<BlockId> assignment;
   double elapsed_s = 0.0;
   std::size_t buffers_processed = 0;
+  StreamErrorStats skipped; ///< malformed lines skipped (disk, --on-error skip)
 };
+
+/// Algorithm id stamped into buffered checkpoints; resume validation refuses
+/// a checkpoint written by the other inner engine.
+[[nodiscard]] inline const char* buffered_checkpoint_algo_id(
+    const BufferedConfig& config) noexcept {
+  return config.engine == BufferedEngine::kMultilevel ? "buffered:multilevel"
+                                                      : "buffered:lp";
+}
 
 /// Streaming core shared by the in-memory and disk-native entry points.
 /// Feed buffers of consecutive stream nodes (ids must arrive in order,
@@ -106,6 +117,9 @@ public:
   void process_graph_range(const CsrGraph& graph, NodeId begin, NodeId end);
 
   [[nodiscard]] BlockId num_blocks() const noexcept { return k_; }
+  /// Nodes per buffer (config.buffer_size): the batch size a disk stream
+  /// must deliver, since buffer boundaries shape the decisions.
+  [[nodiscard]] NodeId buffer_size() const noexcept { return buffer_size_; }
   [[nodiscard]] std::size_t buffers_processed() const noexcept {
     return buffers_processed_;
   }
@@ -119,8 +133,12 @@ public:
   /// cached penalties are recomputed on load), buffers_processed_ (the
   /// multilevel engine's per-buffer RNG salt) and the engine's adaptive
   /// backoff. Everything else is per-buffer arena scratch.
-  void save_stream_state(CheckpointWriter& w) const;
-  void load_stream_state(CheckpointReader& r);
+  /// Both always succeed (return true), mirroring OnePassAssigner's
+  /// contract so run_stream checkpoints either consumer the same way.
+  [[nodiscard]] bool save_stream_state(CheckpointWriter& w) const;
+  [[nodiscard]] bool load_stream_state(CheckpointReader& r);
+  /// Snapshot identity: buffered_checkpoint_algo_id() and the config seed.
+  void stamp_checkpoint(CheckpointMeta& meta) const;
 
 private:
   /// One fused pass per buffer node: walk the raw adjacency exactly once,
@@ -172,6 +190,8 @@ private:
   void set_block_weight(BlockId b, NodeWeight w);
 
   BlockId k_;
+  NodeId buffer_size_;
+  std::uint64_t rng_seed_;
   NodeWeight lmax_;
   int refinement_iterations_;
   BufferedEngine engine_;

@@ -298,4 +298,9 @@ bool OnlineMultisection::load_stream_state(CheckpointReader& r) {
   return true;
 }
 
+void OnlineMultisection::stamp_checkpoint(CheckpointMeta& meta) const {
+  meta.algo = "oms";
+  meta.seed = config_.seed;
+}
+
 } // namespace oms

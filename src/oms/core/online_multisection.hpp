@@ -73,6 +73,7 @@ public:
   // descent are deterministic functions of the config.
   [[nodiscard]] bool save_stream_state(CheckpointWriter& w) const override;
   [[nodiscard]] bool load_stream_state(CheckpointReader& r) override;
+  void stamp_checkpoint(CheckpointMeta& meta) const override;
 
   /// The paper's *offline* recursive multi-section: height() successive
   /// passes over the graph, one tree layer per pass. Section 3.1 argues the

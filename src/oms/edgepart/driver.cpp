@@ -1,83 +1,8 @@
 #include "oms/edgepart/driver.hpp"
 
-#include "oms/stream/pipeline_core.hpp"
-#include "oms/telemetry/metrics.hpp"
 #include "oms/util/timer.hpp"
 
 namespace oms {
-namespace {
-
-EdgeStreamStats stats_of(const EdgeListStream& stream) {
-  EdgeStreamStats stats;
-  stats.num_edges = stream.edges_delivered();
-  stats.self_loops_skipped = stream.self_loops_skipped();
-  stats.num_vertices =
-      stream.edges_delivered() > 0 ? stream.max_vertex_id() + 1 : 0;
-  return stats;
-}
-
-} // namespace
-
-EdgePartitionResult run_edge_partition_from_file(
-    const std::string& path, StreamingEdgePartitioner& partitioner,
-    const StreamErrorPolicy& error_policy, StreamErrorStats* error_stats_out) {
-  EdgeListStream stream(path);
-  stream.set_error_policy(error_policy);
-  EdgePartitionResult result;
-  Timer timer;
-  StreamedEdge edge;
-  // Edge counting is batched so the armed-telemetry cost stays off the
-  // per-edge path; the pipelined overload counts per batch instead.
-  std::uint64_t pending_edges = 0;
-  while (stream.next(edge)) {
-    partitioner.assign(edge);
-    if (++pending_edges == 8192) {
-      telemetry::metric_add(telemetry::Counter::kStreamEdges, pending_edges);
-      pending_edges = 0;
-    }
-  }
-  if (pending_edges != 0) {
-    telemetry::metric_add(telemetry::Counter::kStreamEdges, pending_edges);
-  }
-  result.elapsed_s = timer.elapsed_s();
-  result.stats = stats_of(stream);
-  if (error_stats_out != nullptr) {
-    *error_stats_out = stream.error_stats();
-  }
-  result.edge_assignment = partitioner.take_edge_assignment();
-  return result;
-}
-
-EdgePartitionResult run_edge_partition_from_file(
-    const std::string& path, StreamingEdgePartitioner& partitioner,
-    const PipelineConfig& config) {
-  EdgeListStream stream(path, config.reader_buffer_bytes);
-  stream.set_error_policy(config.error_policy);
-  EdgePartitionResult result;
-  Timer timer;
-  run_batched_pipeline<EdgeBatch>(
-      config.ring_batches, /*consumers=*/1,
-      [&](EdgeBatch& batch) {
-        return stream.fill_batch(batch, config.batch_nodes);
-      },
-      [&](const EdgeBatch& batch, int) {
-        const std::size_t count = batch.size();
-        for (std::size_t i = 0; i < count; ++i) {
-          partitioner.assign(batch.edge(i));
-        }
-        telemetry::metric_add(telemetry::Counter::kStreamEdges, count);
-      },
-      config.watchdog_ms);
-  result.elapsed_s = timer.elapsed_s();
-  // The producer thread has joined inside run_batched_pipeline, so reading
-  // the stream counters here is race-free.
-  result.stats = stats_of(stream);
-  if (config.error_stats_out != nullptr) {
-    *config.error_stats_out = stream.error_stats();
-  }
-  result.edge_assignment = partitioner.take_edge_assignment();
-  return result;
-}
 
 EdgePartitionResult run_edge_partition(std::span<const StreamedEdge> edges,
                                        StreamingEdgePartitioner& partitioner) {

@@ -1,17 +1,15 @@
 /// \file driver.hpp
-/// \brief The edge-streaming loop: drive an edge source through a
-///        StreamingEdgePartitioner, sequentially or with the parse/assign
-///        pipeline of the node stream (PR 3) reused unchanged.
+/// \brief Results of the edge-streaming passes and the in-memory edge
+///        driver. Edge-list files stream through run_stream
+///        (stream/pipeline.hpp), sequentially or with the reader thread.
 ///
 /// Vertex-cut assigners are order-dependent sequential algorithms (partial
-/// degrees, min/max load tracking), so the pipelined driver always runs one
-/// consumer: the reader thread parses ahead into recycled EdgeBatch buffers
-/// while the calling thread assigns — the output is bit-identical to the
-/// sequential driver, only the parse latency is hidden.
+/// degrees, min/max load tracking), so an edge stream always runs one
+/// consumer: a reader thread only hides the parse latency, and the output is
+/// bit-identical either way.
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "oms/edgepart/edge_partitioner.hpp"
@@ -34,23 +32,8 @@ struct EdgePartitionResult {
   std::vector<BlockId> edge_assignment; ///< block per edge, stream order
   double elapsed_s = 0.0;
   EdgeStreamStats stats;
+  StreamErrorStats skipped; ///< malformed lines skipped (--on-error skip)
 };
-
-/// Stream the edge-list file through \p partitioner (sequential; disk order
-/// is the edge order). \p error_policy is the malformed-line policy
-/// (--on-error); \p error_stats_out, when non-null, receives the skip
-/// accounting at the end of the pass.
-[[nodiscard]] EdgePartitionResult run_edge_partition_from_file(
-    const std::string& path, StreamingEdgePartitioner& partitioner,
-    const StreamErrorPolicy& error_policy = {},
-    StreamErrorStats* error_stats_out = nullptr);
-
-/// Same decisions, pipelined: a producer thread parses EdgeBatches while the
-/// calling thread assigns (PipelineConfig::assign_threads is ignored — see
-/// the file comment). batch_nodes/ring_batches/reader_buffer_bytes apply.
-[[nodiscard]] EdgePartitionResult run_edge_partition_from_file(
-    const std::string& path, StreamingEdgePartitioner& partitioner,
-    const PipelineConfig& config);
 
 /// In-memory pass over an already-materialized edge sequence (tests,
 /// benchmarks, restreaming experiments). Self-loops are skipped like the

@@ -146,4 +146,9 @@ bool FennelPartitioner::load_stream_state(CheckpointReader& r) {
   return true;
 }
 
+void FennelPartitioner::stamp_checkpoint(CheckpointMeta& meta) const {
+  meta.algo = "fennel";
+  meta.seed = config_.seed;
+}
+
 } // namespace oms

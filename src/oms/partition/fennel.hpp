@@ -50,6 +50,7 @@ public:
   // config-derived and rebuilt by the constructor.
   [[nodiscard]] bool save_stream_state(CheckpointWriter& w) const override;
   [[nodiscard]] bool load_stream_state(CheckpointReader& r) override;
+  void stamp_checkpoint(CheckpointMeta& meta) const override;
 
 private:
   struct Scratch {

@@ -65,4 +65,9 @@ bool HashingPartitioner::load_stream_state(CheckpointReader& r) {
   return true;
 }
 
+void HashingPartitioner::stamp_checkpoint(CheckpointMeta& meta) const {
+  meta.algo = "hashing";
+  meta.seed = config_.seed;
+}
+
 } // namespace oms

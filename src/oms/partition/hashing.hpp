@@ -39,6 +39,7 @@ public:
   // state (the hash itself is stateless in the seed).
   [[nodiscard]] bool save_stream_state(CheckpointWriter& w) const override;
   [[nodiscard]] bool load_stream_state(CheckpointReader& r) override;
+  void stamp_checkpoint(CheckpointMeta& meta) const override;
 
 private:
   PartitionConfig config_;

@@ -104,4 +104,9 @@ bool LdgPartitioner::load_stream_state(CheckpointReader& r) {
   return true;
 }
 
+void LdgPartitioner::stamp_checkpoint(CheckpointMeta& meta) const {
+  meta.algo = "ldg";
+  meta.seed = config_.seed;
+}
+
 } // namespace oms

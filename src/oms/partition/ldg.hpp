@@ -40,6 +40,7 @@ public:
   // Checkpoint/resume: assignment + block weights (scratch is per-node).
   [[nodiscard]] bool save_stream_state(CheckpointWriter& w) const override;
   [[nodiscard]] bool load_stream_state(CheckpointReader& r) override;
+  void stamp_checkpoint(CheckpointMeta& meta) const override;
 
 private:
   struct Scratch {

@@ -68,6 +68,9 @@ public:
   [[nodiscard]] bool load_stream_state(CheckpointReader& r) override {
     return inner_.load_stream_state(r);
   }
+  void stamp_checkpoint(CheckpointMeta& meta) const override {
+    inner_.stamp_checkpoint(meta);
+  }
 
 private:
   Assigner inner_;

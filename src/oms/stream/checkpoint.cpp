@@ -2,17 +2,13 @@
 
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <memory>
 
 #include "oms/stream/block_weights.hpp"
-#include "oms/stream/metis_stream.hpp"
 #include "oms/telemetry/metrics.hpp"
 #include "oms/util/assignment_array.hpp"
 #include "oms/util/crc32.hpp"
-#include "oms/util/fault_injection.hpp"
 #include "oms/util/io_error.hpp"
-#include "oms/util/timer.hpp"
 
 namespace oms {
 
@@ -74,6 +70,9 @@ std::string CheckpointReader::get_string() {
 void CheckpointReader::get_raw(void* out, std::size_t bytes) {
   if (bytes > remaining()) {
     throw IoError("checkpoint: truncated payload");
+  }
+  if (bytes == 0) {
+    return; // an empty payload's data() may be null, and memcpy(null, ...) is UB
   }
   std::memcpy(out, cur_, bytes);
   cur_ += bytes;
@@ -236,81 +235,6 @@ void load_block_weights(CheckpointReader& r, BlockWeights& weights) {
   for (std::size_t b = 0; b < weights.size(); ++b) {
     weights.add(b, r.get_i64());
   }
-}
-
-StreamResult run_one_pass_resumable(MetisNodeStream& stream,
-                                    OnePassAssigner& assigner,
-                                    const std::string& algo, std::uint64_t seed,
-                                    const CheckpointConfig& checkpoint,
-                                    const CheckpointState* resume) {
-  // prepare() first: it may re-layout the block weights, and load must land
-  // in the final layout.
-  assigner.prepare(1);
-
-  std::uint64_t streamed = 0;
-  if (resume != nullptr) {
-    CheckpointReader r(resume->payload);
-    if (!assigner.load_stream_state(r)) {
-      throw IoError("algorithm '" + algo + "' does not support checkpoint/resume");
-    }
-    r.expect_end();
-    streamed = resume->meta.nodes_streamed;
-    stream.resume_at(resume->meta.input_offset, resume->meta.input_line_no,
-                     static_cast<NodeId>(streamed));
-  }
-
-  const std::uint64_t every =
-      checkpoint.path.empty() || checkpoint.every_nodes == 0
-          ? std::numeric_limits<std::uint64_t>::max()
-          : checkpoint.every_nodes;
-  std::uint64_t next_snapshot =
-      every == std::numeric_limits<std::uint64_t>::max()
-          ? every
-          : (streamed / every + 1) * every;
-
-  StreamResult result;
-  Timer timer;
-  WorkCounters counters;
-  StreamedNode node{};
-  std::uint64_t pending_nodes = 0;
-  while (stream.next(node)) {
-    assigner.assign(node, 0, counters);
-    ++streamed;
-    if (++pending_nodes == 4096) {
-      telemetry::metric_add(telemetry::Counter::kStreamNodes, pending_nodes);
-      pending_nodes = 0;
-    }
-    if (streamed >= next_snapshot) {
-      CheckpointMeta meta;
-      meta.algo = algo;
-      meta.k = static_cast<std::uint64_t>(assigner.num_blocks());
-      meta.seed = seed;
-      meta.num_nodes = stream.header().num_nodes;
-      meta.nodes_streamed = streamed;
-      meta.input_offset = stream.next_offset();
-      meta.input_line_no = stream.line_no();
-      CheckpointWriter w;
-      if (!assigner.save_stream_state(w)) {
-        throw IoError("algorithm '" + algo + "' does not support checkpoint/resume");
-      }
-      write_checkpoint_file(checkpoint.path, meta, w.bytes());
-      // The deterministic stand-in for kill -9: the snapshot is durable, the
-      // process dies before assigning another node.
-      if (fault_fires(FaultSite::kCheckpointDie)) {
-        throw IoError("injected crash after checkpoint at node " +
-                      std::to_string(streamed));
-      }
-      next_snapshot += every;
-    }
-  }
-  if (pending_nodes != 0) {
-    telemetry::metric_add(telemetry::Counter::kStreamNodes, pending_nodes);
-  }
-  telemetry::publish_work(counters);
-  result.elapsed_s = timer.elapsed_s();
-  result.work = counters;
-  result.assignment = assigner.take_assignment();
-  return result;
 }
 
 } // namespace oms

@@ -30,14 +30,12 @@
 #include <string>
 #include <vector>
 
-#include "oms/stream/one_pass_driver.hpp"
 #include "oms/types.hpp"
 
 namespace oms {
 
 class AssignmentArray;
 class BlockWeights;
-class MetisNodeStream;
 
 /// Append-only byte buffer with typed put_* helpers; the payload side of a
 /// partitioner's save_stream_state().
@@ -131,24 +129,11 @@ void load_assignment(CheckpointReader& r, std::vector<BlockId>& assignment);
 void save_block_weights(CheckpointWriter& w, const BlockWeights& weights);
 void load_block_weights(CheckpointReader& r, BlockWeights& weights);
 
-// --- checkpointing drivers -------------------------------------------------
+// --- checkpoint policy (PipelineConfig::checkpoint) -------------------------
 
 struct CheckpointConfig {
   std::string path;                   ///< empty = checkpointing disabled
   std::uint64_t every_nodes = 65536;  ///< snapshot cadence in streamed nodes
 };
-
-/// Sequential one-pass streaming with periodic checkpoints and optional
-/// resume. \p stream must be freshly constructed (header read, no data
-/// consumed); \p resume, when given, must already have passed
-/// validate_resume. \p algo/\p seed stamp the written snapshots.
-/// FaultSite::kCheckpointDie fires right after a snapshot is durably on disk
-/// — the chaos harness uses it as a deterministic stand-in for kill -9.
-[[nodiscard]] StreamResult run_one_pass_resumable(MetisNodeStream& stream,
-                                                  OnePassAssigner& assigner,
-                                                  const std::string& algo,
-                                                  std::uint64_t seed,
-                                                  const CheckpointConfig& checkpoint,
-                                                  const CheckpointState* resume);
 
 } // namespace oms

@@ -2,9 +2,7 @@
 
 #include <limits>
 
-#include "oms/telemetry/metrics.hpp"
 #include "oms/util/assert.hpp"
-#include "oms/util/timer.hpp"
 
 namespace oms {
 
@@ -158,7 +156,7 @@ std::size_t MetisNodeStream::fill_batch(NodeBatch& batch, std::size_t max_nodes,
     }
     batch.commit_node(weight);
   }
-  telemetry::metric_add(telemetry::Counter::kStreamNodes, batch.size());
+  batch.set_end(reader_.next_offset(), reader_.line_no());
   return batch.size();
 }
 
@@ -174,35 +172,6 @@ void MetisNodeStream::resume_at(std::uint64_t offset, std::uint64_t line_no,
   }
   reader_.seek(offset, line_no);
   next_id_ = next_id;
-}
-
-StreamResult run_one_pass_from_file(const std::string& path,
-                                    OnePassAssigner& assigner) {
-  MetisNodeStream stream(path);
-  assigner.prepare(1);
-
-  StreamResult result;
-  Timer timer;
-  WorkCounters counters;
-  StreamedNode node{};
-  // Node counting is batched (flushed every 4096) so the armed-telemetry
-  // cost stays off the per-node path; fill_batch() covers pipelined runs.
-  std::uint64_t pending_nodes = 0;
-  while (stream.next(node)) {
-    assigner.assign(node, 0, counters);
-    if (++pending_nodes == 4096) {
-      telemetry::metric_add(telemetry::Counter::kStreamNodes, pending_nodes);
-      pending_nodes = 0;
-    }
-  }
-  if (pending_nodes != 0) {
-    telemetry::metric_add(telemetry::Counter::kStreamNodes, pending_nodes);
-  }
-  telemetry::publish_work(counters);
-  result.elapsed_s = timer.elapsed_s();
-  result.work = counters;
-  result.assignment = assigner.take_assignment();
-  return result;
 }
 
 } // namespace oms

@@ -1,11 +1,11 @@
 /// \file metis_stream.hpp
-/// \brief True disk streaming: parse a METIS graph file node-by-node with
-///        O(max degree) buffering and feed each node to a one-pass assigner.
+/// \brief True disk streaming: parse a METIS graph file into batches of
+///        consecutive nodes for run_stream (stream/pipeline.hpp).
 ///
 /// This realizes the paper's "the algorithm could also be run streaming the
 /// graph from hard disk" and is what the memory experiment (Section 4.1)
-/// uses: total state is the assignment vector plus block weights, never the
-/// whole graph.
+/// uses: total state is the assignment vector plus block weights plus the
+/// batches in flight (one on the sequential route), never the whole graph.
 ///
 /// The reader pulls raw chunks into one reusable buffer and parses integers
 /// in place with std::from_chars — no per-line getline, no per-line string
@@ -21,7 +21,7 @@
 #include "oms/stream/error_policy.hpp"
 #include "oms/stream/line_reader.hpp"
 #include "oms/stream/node_batch.hpp"
-#include "oms/stream/one_pass_driver.hpp"
+#include "oms/stream/streamed_node.hpp"
 #include "oms/types.hpp"
 #include "oms/util/io_error.hpp"
 
@@ -36,8 +36,8 @@ struct MetisHeader {
   bool has_edge_weights = false;
 };
 
-/// Sequentially parses a METIS file, exposing one node at a time. The caller
-/// never sees more than one adjacency list at once.
+/// Sequentially parses a METIS file, exposing one node (next) or one batch of
+/// consecutive nodes (fill_batch) at a time.
 ///
 /// Throws oms::IoError from the constructor (unopenable file, malformed
 /// header) and from next() (malformed data line).
@@ -58,11 +58,12 @@ public:
   /// \p out remain valid until the next call.
   bool next(StreamedNode& out);
 
-  /// Chunk handoff for the pipelined driver: parse up to \p max_nodes
-  /// consecutive nodes (fewer when \p max_arcs adjacency entries accumulate
-  /// first — hub-heavy regions cap batch memory by arcs, not node count)
-  /// directly into \p batch's flat storage. Returns the number of nodes
-  /// parsed; 0 means the stream is exhausted. \p max_arcs 0 = unbounded.
+  /// Chunk handoff for run_stream: parse up to \p max_nodes consecutive
+  /// nodes (fewer when \p max_arcs adjacency entries accumulate first —
+  /// hub-heavy regions cap batch memory by arcs, not node count) directly
+  /// into \p batch's flat storage, and record the position after the last
+  /// one (NodeBatch::end_offset). Returns the number of nodes parsed; 0
+  /// means the stream is exhausted. \p max_arcs 0 = unbounded.
   std::size_t fill_batch(NodeBatch& batch, std::size_t max_nodes,
                          std::size_t max_arcs = 0);
 
@@ -123,10 +124,5 @@ private:
   StreamErrorPolicy error_policy_;
   StreamErrorStats error_stats_;
 };
-
-/// Stream the file through \p assigner (sequential; disk order is the node
-/// order). Returns the assignment and timing like run_one_pass.
-[[nodiscard]] StreamResult run_one_pass_from_file(const std::string& path,
-                                                  OnePassAssigner& assigner);
 
 } // namespace oms

@@ -2,14 +2,16 @@
 /// \brief A contiguous run of parsed stream nodes, stored flat so one batch
 ///        is one allocation set that the pipeline recycles forever.
 ///
-/// The pipelined disk reader hands these across the producer/consumer
-/// boundary instead of single StreamedNodes: batching amortizes the queue
+/// The disk reader hands these across the producer/consumer boundary (or,
+/// on the sequential route, straight to the consumer) instead of single
+/// StreamedNodes: batching amortizes the queue
 /// synchronization over thousands of nodes and keeps the adjacency data of a
 /// work unit cache-resident for the assigning thread. Node ids inside a
 /// batch are consecutive (stream order), so only the first id is stored.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -44,6 +46,16 @@ public:
   [[nodiscard]] bool empty() const noexcept { return weights_.empty(); }
   [[nodiscard]] NodeId first_id() const noexcept { return first_id_; }
 
+  /// Input position just past the batch's last node (byte offset and line
+  /// number), recorded by the reader: a checkpoint taken after this batch
+  /// resumes the stream here.
+  void set_end(std::uint64_t offset, std::uint64_t line_no) noexcept {
+    end_offset_ = offset;
+    end_line_no_ = line_no;
+  }
+  [[nodiscard]] std::uint64_t end_offset() const noexcept { return end_offset_; }
+  [[nodiscard]] std::uint64_t end_line_no() const noexcept { return end_line_no_; }
+
   /// Total adjacency entries buffered (used by the reader to bound batch
   /// growth by arcs, not just node count, so hub nodes don't balloon memory).
   [[nodiscard]] std::size_t num_arcs() const noexcept { return neighbors_.size(); }
@@ -68,6 +80,8 @@ public:
 
 private:
   NodeId first_id_ = 0;
+  std::uint64_t end_offset_ = 0;
+  std::uint64_t end_line_no_ = 0;
   std::vector<NodeWeight> weights_;
   std::vector<std::size_t> offsets_ = {0};
   std::vector<NodeId> neighbors_;

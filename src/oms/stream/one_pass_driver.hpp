@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "oms/graph/csr_graph.hpp"
+#include "oms/stream/error_policy.hpp"
 #include "oms/stream/streamed_node.hpp"
 #include "oms/types.hpp"
 #include "oms/util/work_counters.hpp"
@@ -19,6 +20,7 @@ namespace oms {
 
 class CheckpointWriter;
 class CheckpointReader;
+struct CheckpointMeta;
 
 /// Interface implemented by Hashing, LDG, Fennel and the online recursive
 /// multi-section. One instance handles one pass over one graph.
@@ -47,7 +49,7 @@ public:
   /// Checkpoint support (stream/checkpoint.hpp): serialize / restore every
   /// piece of state that is not derivable from the construction config, so a
   /// resumed pass continues bit-identically. Both default to "unsupported"
-  /// (return false); the resumable driver turns that into a clean IoError.
+  /// (return false); run_stream turns that into a clean IoError.
   /// load_stream_state is called after prepare() on a freshly constructed
   /// assigner with identical config.
   [[nodiscard]] virtual bool save_stream_state(CheckpointWriter& /*writer*/) const {
@@ -56,6 +58,10 @@ public:
   [[nodiscard]] virtual bool load_stream_state(CheckpointReader& /*reader*/) {
     return false;
   }
+  /// The identity a snapshot of this assigner carries: sets \p meta.algo
+  /// ("oms", "fennel", ...) and \p meta.seed, which validate_resume checks
+  /// before a resume. Assigners without checkpoint support leave it alone.
+  virtual void stamp_checkpoint(CheckpointMeta& /*meta*/) const {}
 };
 
 /// Result of a streaming pass.
@@ -63,9 +69,11 @@ struct StreamResult {
   std::vector<BlockId> assignment;
   double elapsed_s = 0.0;
   WorkCounters work;
+  StreamErrorStats skipped; ///< malformed lines skipped (disk, --on-error skip)
 };
 
-/// Stream \p graph in node-id order through \p assigner.
+/// Stream \p graph in node-id order through \p assigner. (Disk streams go
+/// through run_stream, stream/pipeline.hpp.)
 /// \param num_threads 1 = sequential (deterministic); 0 = all hardware
 ///        threads; >1 = that many OpenMP threads (vertex-centric chunks).
 /// \param chunk_size granularity of the parallel decomposition: 0 = one

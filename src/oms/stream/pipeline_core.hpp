@@ -3,13 +3,14 @@
 ///        a reader thread fills recycled batch buffers, consumer threads
 ///        drain them, errors from either side are rethrown on the caller.
 ///
-/// Extracted from the METIS node pipeline (PR 3) so the edge-list stream —
-/// and any future batch-shaped ingest — reuses the exact shutdown and error
-/// protocol instead of re-deriving it: two bounded queues close the loop,
-/// ring_batches bounds the parse-ahead (backpressure on both sides), and
-/// after warm-up no allocation happens on either path.
+/// run_stream (stream/pipeline.hpp) drives every disk stream through this one
+/// loop, so node and edge sources share the exact shutdown and error
+/// protocol: two bounded queues close the loop, ring_batches bounds the
+/// parse-ahead (backpressure on both sides), and after warm-up no allocation
+/// happens on either path. ring_batches == 0 is the sequential route: no
+/// reader thread, one batch, the same spans and fault sites.
 ///
-/// Failure hardening (PR 7): an optional watchdog bounds every queue wait so
+/// Failure hardening: an optional watchdog bounds every queue wait so
 /// a dead peer thread surfaces as IoError instead of a hang; a consumer
 /// error aborts (close + discard) both queues so siblings and the producer
 /// stop at their next queue operation; and when the producer thread cannot
@@ -34,7 +35,10 @@ namespace oms {
 
 /// Run a batched producer/consumer pipeline to completion.
 ///
-/// \param ring_batches batches circulating between producer and consumers.
+/// \param ring_batches batches circulating between producer and consumers;
+///                     0 runs without a reader thread: fill and consume
+///                     alternate on the calling thread over one batch (the
+///                     sequential route).
 /// \param consumers    consumer thread count; the calling thread is consumer
 ///                     0, so the pipeline costs exactly `consumers` extra
 ///                     threads minus one plus the reader.
@@ -54,6 +58,33 @@ namespace oms {
 template <typename Batch, typename Fill, typename Consume>
 void run_batched_pipeline(std::size_t ring_batches, int consumers, Fill&& fill,
                           Consume&& consume, std::uint64_t watchdog_ms = 0) {
+  // No reader thread: fill and consume alternate on the calling thread. The
+  // sequential route, and the degrade path when the reader cannot spawn.
+  const auto run_sequential = [&] {
+    Batch batch;
+    while (true) {
+      fault_sleep(FaultSite::kFillDelay);
+      {
+        const telemetry::TraceSpan span(telemetry::Hist::kStageParse);
+        if (fill(batch) == 0) {
+          return;
+        }
+      }
+      if (fault_fires(FaultSite::kConsumeThrow)) {
+        throw IoError("injected consumer fault");
+      }
+      {
+        const telemetry::TraceSpan span(telemetry::Hist::kStageAssign);
+        consume(batch, 0);
+      }
+      telemetry::metric_add(telemetry::Counter::kPipelineBatches);
+    }
+  };
+  if (ring_batches == 0) {
+    run_sequential();
+    return;
+  }
+
   using BatchPtr = std::unique_ptr<Batch>;
   BoundedQueue<BatchPtr> free_q(ring_batches);
   BoundedQueue<BatchPtr> filled_q(ring_batches);
@@ -124,24 +155,8 @@ void run_batched_pipeline(std::size_t ring_batches, int consumers, Fill&& fill,
     }
   }
   if (!producer.joinable()) {
-    Batch batch;
-    while (true) {
-      fault_sleep(FaultSite::kFillDelay);
-      {
-        const telemetry::TraceSpan span(telemetry::Hist::kStageParse);
-        if (fill(batch) == 0) {
-          return;
-        }
-      }
-      if (fault_fires(FaultSite::kConsumeThrow)) {
-        throw IoError("injected consumer fault");
-      }
-      {
-        const telemetry::TraceSpan span(telemetry::Hist::kStageAssign);
-        consume(batch, 0);
-      }
-      telemetry::metric_add(telemetry::Counter::kPipelineBatches);
-    }
+    run_sequential();
+    return;
   }
 
   const auto consume_loop = [&](int thread_id) {

@@ -11,7 +11,7 @@
 /// is delayed until some of its neighbors have arrived). Each delayed node's
 /// adjacency is stored inside the window itself (a ring of reusable slots),
 /// so the partitioner needs no backing graph: it runs one-pass from disk via
-/// run_one_pass_from_file exactly like the undelayed algorithms, with state
+/// run_stream exactly like the undelayed algorithms, with state
 /// O(window adjacency + k), strictly between one-pass and buffered
 /// streaming.
 #pragma once

@@ -6,11 +6,12 @@
 ///        the default lp engine is untouched by the engine plumbing.
 #include <gtest/gtest.h>
 
+#include "oms/buffered/buffered_partitioner.hpp"
 #include "oms/graph/generators.hpp"
 #include "oms/graph/io.hpp"
 #include "oms/mapping/hierarchy.hpp"
 #include "oms/partition/metrics.hpp"
-#include "oms/stream/buffered_stream_driver.hpp"
+#include "oms/stream/pipeline.hpp"
 #include "tests/test_support.hpp"
 
 #include <cstdio>
@@ -21,6 +22,24 @@ namespace oms {
 namespace {
 
 using testing::fnv1a;
+
+/// The sequential route: no reader thread.
+PipelineConfig sequential_policy() {
+  PipelineConfig policy;
+  policy.ring_batches = 0;
+  return policy;
+}
+
+/// Stream \p path through a fresh buffered partitioner under \p policy.
+BufferedResult stream_buffered(const std::string& path, BlockId k,
+                               const BufferedConfig& config,
+                               const PipelineConfig& policy) {
+  MetisNodeStream source(path, policy.reader_buffer_bytes);
+  BufferedPartitioner core(source.header().num_nodes,
+                           static_cast<NodeWeight>(source.header().num_nodes), k,
+                           config);
+  return run_stream(source, core, policy);
+}
 
 class TempMetisFile {
 public:
@@ -55,9 +74,9 @@ TEST(BufferedMultilevel, DiskMatchesInMemorySequentialAndPipelined) {
       const BufferedConfig config = multilevel_config(buffer);
       const BufferedResult memory = buffered_partition(*c.graph, 24, config);
       const BufferedResult disk =
-          buffered_partition_from_file(file.path(), 24, config);
+          stream_buffered(file.path(), 24, config, sequential_policy());
       const BufferedResult pipelined =
-          buffered_partition_from_file(file.path(), 24, config, PipelineConfig{});
+          stream_buffered(file.path(), 24, config, PipelineConfig{});
       EXPECT_EQ(memory.assignment, disk.assignment)
           << c.tag << " buffer=" << buffer;
       EXPECT_EQ(memory.assignment, pipelined.assignment)
@@ -124,9 +143,9 @@ TEST(BufferedMultilevel, HierarchyParityAcrossEntryPoints) {
   config.hierarchy = &topo;
   const BufferedResult memory = buffered_partition(g, topo.num_pes(), config);
   const BufferedResult disk =
-      buffered_partition_from_file(file.path(), topo.num_pes(), config);
-  const BufferedResult pipelined = buffered_partition_from_file(
-      file.path(), topo.num_pes(), config, PipelineConfig{});
+      stream_buffered(file.path(), topo.num_pes(), config, sequential_policy());
+  const BufferedResult pipelined =
+      stream_buffered(file.path(), topo.num_pes(), config, PipelineConfig{});
   EXPECT_EQ(memory.assignment, disk.assignment);
   EXPECT_EQ(memory.assignment, pipelined.assignment);
   verify_partition(g, memory.assignment, topo.num_pes());

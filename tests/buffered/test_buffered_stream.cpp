@@ -3,7 +3,7 @@
 ///        entry point (sequential and pipelined), IoError propagation from
 ///        mid-buffer parse failures (no deadlock), and golden hashes pinning
 ///        the buffered algorithm's output bit-for-bit.
-#include "oms/stream/buffered_stream_driver.hpp"
+#include "oms/stream/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <fstream>
 #include <string>
 
+#include "oms/buffered/buffered_partitioner.hpp"
 #include "oms/graph/generators.hpp"
 #include "oms/graph/io.hpp"
 #include "oms/partition/metrics.hpp"
@@ -21,6 +22,24 @@ namespace oms {
 namespace {
 
 using testing::fnv1a;
+
+/// The sequential route: no reader thread.
+PipelineConfig sequential_policy() {
+  PipelineConfig policy;
+  policy.ring_batches = 0;
+  return policy;
+}
+
+/// Stream \p path through a fresh buffered partitioner under \p policy.
+BufferedResult stream_buffered(const std::string& path, BlockId k,
+                               const BufferedConfig& config,
+                               const PipelineConfig& policy) {
+  MetisNodeStream source(path, policy.reader_buffer_bytes);
+  BufferedPartitioner core(source.header().num_nodes,
+                           static_cast<NodeWeight>(source.header().num_nodes), k,
+                           config);
+  return run_stream(source, core, policy);
+}
 
 class TempMetisFile {
 public:
@@ -54,9 +73,9 @@ TEST(BufferedStream, DiskMatchesInMemorySequentialAndPipelined) {
       config.buffer_size = buffer;
       const BufferedResult memory = buffered_partition(*c.graph, 24, config);
       const BufferedResult disk =
-          buffered_partition_from_file(file.path(), 24, config);
+          stream_buffered(file.path(), 24, config, sequential_policy());
       const BufferedResult pipelined =
-          buffered_partition_from_file(file.path(), 24, config, PipelineConfig{});
+          stream_buffered(file.path(), 24, config, PipelineConfig{});
       EXPECT_EQ(memory.assignment, disk.assignment)
           << c.tag << " buffer=" << buffer;
       EXPECT_EQ(memory.assignment, pipelined.assignment)
@@ -77,7 +96,7 @@ TEST(BufferedStream, PipelinedParityAcrossRingDepths) {
     PipelineConfig pipeline;
     pipeline.ring_batches = ring;
     const BufferedResult r =
-        buffered_partition_from_file(file.path(), 16, config, pipeline);
+        stream_buffered(file.path(), 16, config, pipeline);
     EXPECT_EQ(memory.assignment, r.assignment) << "ring=" << ring;
   }
 }
@@ -87,7 +106,8 @@ TEST(BufferedStream, PartitionIsValidAndBalanced) {
   const TempMetisFile file(g, "balance");
   BufferedConfig config;
   config.buffer_size = 300;
-  const BufferedResult r = buffered_partition_from_file(file.path(), 12, config);
+  const BufferedResult r =
+      stream_buffered(file.path(), 12, config, sequential_policy());
   verify_partition(g, r.assignment, 12);
   EXPECT_TRUE(is_balanced(g, r.assignment, 12, config.epsilon));
 }
@@ -97,7 +117,8 @@ TEST(BufferedStream, BufferCountMatchesCeilDivision) {
   const TempMetisFile file(g, "ceil");
   BufferedConfig config;
   config.buffer_size = 300;
-  const BufferedResult r = buffered_partition_from_file(file.path(), 4, config);
+  const BufferedResult r =
+      stream_buffered(file.path(), 4, config, sequential_policy());
   EXPECT_EQ(r.buffers_processed, 4u); // ceil(1000 / 300)
 }
 
@@ -125,20 +146,20 @@ TEST(BufferedStream, IoErrorMidBufferPropagates) {
   const TempMetisFile file(contents, "midbuffer");
   BufferedConfig config;
   config.buffer_size = 128; // the error lands in the 5th buffer
-  EXPECT_THROW((void)buffered_partition_from_file(file.path(), 4, config),
+  EXPECT_THROW((void)stream_buffered(file.path(), 4, config, sequential_policy()),
                IoError);
   EXPECT_THROW(
-      (void)buffered_partition_from_file(file.path(), 4, config, PipelineConfig{}),
+      (void)stream_buffered(file.path(), 4, config, PipelineConfig{}),
       IoError);
 }
 
 TEST(BufferedStream, IoErrorOutOfRangeNeighbor) {
   const TempMetisFile file("3 2\n2\n1 9\n2\n", "range");
   BufferedConfig config;
-  EXPECT_THROW((void)buffered_partition_from_file(file.path(), 2, config),
+  EXPECT_THROW((void)stream_buffered(file.path(), 2, config, sequential_policy()),
                IoError);
   EXPECT_THROW(
-      (void)buffered_partition_from_file(file.path(), 2, config, PipelineConfig{}),
+      (void)stream_buffered(file.path(), 2, config, PipelineConfig{}),
       IoError);
 }
 
@@ -147,17 +168,18 @@ TEST(BufferedStream, RejectsNodeWeightedFiles) {
   // weight before the pass, which the header cannot provide.
   const TempMetisFile file("2 1 10\n5 2\n7 1\n", "weighted");
   BufferedConfig config;
-  EXPECT_THROW((void)buffered_partition_from_file(file.path(), 2, config),
+  EXPECT_THROW((void)stream_buffered(file.path(), 2, config, sequential_policy()),
                IoError);
   EXPECT_THROW(
-      (void)buffered_partition_from_file(file.path(), 2, config, PipelineConfig{}),
+      (void)stream_buffered(file.path(), 2, config, PipelineConfig{}),
       IoError);
 }
 
 TEST(BufferedStream, EmptyGraphYieldsEmptyAssignment) {
   const TempMetisFile file("0 0\n", "empty");
   BufferedConfig config;
-  const BufferedResult r = buffered_partition_from_file(file.path(), 4, config);
+  const BufferedResult r =
+      stream_buffered(file.path(), 4, config, sequential_policy());
   EXPECT_TRUE(r.assignment.empty());
   EXPECT_EQ(r.buffers_processed, 0u);
 }
@@ -176,8 +198,9 @@ TEST(BufferedGolden, DefaultsOnBarabasiAlbert) {
   const std::uint64_t memory_hash = fnv1a(buffered_partition(ba, 24, config).assignment);
   EXPECT_EQ(memory_hash, 0xcc49cbb6a1fc4da2ULL);
   const TempMetisFile file(ba, "golden_ba");
-  EXPECT_EQ(fnv1a(buffered_partition_from_file(file.path(), 24, config).assignment),
-            memory_hash);
+  EXPECT_EQ(
+      fnv1a(stream_buffered(file.path(), 24, config, sequential_policy()).assignment),
+      memory_hash);
 }
 
 TEST(BufferedGolden, SmallBuffersManyBlocksOnGrid) {
@@ -190,7 +213,8 @@ TEST(BufferedGolden, SmallBuffersManyBlocksOnGrid) {
   EXPECT_EQ(memory_hash, 0x62efabc147806dc0ULL);
   const TempMetisFile file(grid, "golden_grid");
   EXPECT_EQ(
-      fnv1a(buffered_partition_from_file(file.path(), 100, config).assignment),
+      fnv1a(
+          stream_buffered(file.path(), 100, config, sequential_policy()).assignment),
       memory_hash);
 }
 

@@ -1,5 +1,5 @@
 /// \file test_chaos_stream.cpp
-/// \brief Chaos sweep over every streaming driver: under any seeded fault
+/// \brief Chaos sweep over every disk-streaming route: under any seeded fault
 ///        schedule a run must either raise a clean oms::IoError or produce a
 ///        result bit-identical to the fault-free golden run — never hang,
 ///        crash, or return silently different assignments.
@@ -14,12 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "oms/buffered/buffered_partitioner.hpp"
 #include "oms/edgepart/driver.hpp"
 #include "oms/edgepart/hdrf.hpp"
 #include "oms/graph/generators.hpp"
 #include "oms/graph/io.hpp"
 #include "oms/partition/fennel.hpp"
-#include "oms/stream/buffered_stream_driver.hpp"
 #include "oms/stream/metis_stream.hpp"
 #include "oms/stream/pipeline.hpp"
 #include "oms/stream/window_partitioner.hpp"
@@ -63,15 +63,15 @@ protected:
   static std::vector<BlockId> one_pass_sequential() {
     FennelPartitioner fennel(num_nodes_, num_edges_,
                              static_cast<NodeWeight>(num_nodes_), config());
-    return run_one_pass_from_file(*metis_path_, fennel).assignment;
+    MetisNodeStream stream(*metis_path_);
+    return run_stream(stream, fennel, sequential()).assignment;
   }
 
   static std::vector<BlockId> one_pass_pipelined() {
     FennelPartitioner fennel(num_nodes_, num_edges_,
                              static_cast<NodeWeight>(num_nodes_), config());
-    PipelineConfig pipeline;
-    pipeline.watchdog_ms = 20000; // backstop: a hang must fail, not wedge CI
-    return run_one_pass_from_file(*metis_path_, fennel, pipeline).assignment;
+    MetisNodeStream stream(*metis_path_);
+    return run_stream(stream, fennel, pipelined()).assignment;
   }
 
   static std::vector<BlockId> window_sequential() {
@@ -80,33 +80,46 @@ protected:
     wc.seed = kSeed;
     WindowPartitioner window(num_nodes_, static_cast<NodeWeight>(num_nodes_),
                              wc, kK);
-    return run_one_pass_from_file(*metis_path_, window).assignment;
+    MetisNodeStream stream(*metis_path_);
+    return run_stream(stream, window, sequential()).assignment;
   }
 
   static std::vector<BlockId> buffered_sequential() {
-    return buffered_partition_from_file(*metis_path_, kK, buffered_config())
-        .assignment;
+    return buffered(sequential());
   }
 
-  static std::vector<BlockId> buffered_pipelined() {
-    PipelineConfig pipeline;
-    pipeline.watchdog_ms = 20000;
-    return buffered_partition_from_file(*metis_path_, kK, buffered_config(),
-                                        pipeline)
-        .assignment;
-  }
+  static std::vector<BlockId> buffered_pipelined() { return buffered(pipelined()); }
 
   static std::vector<BlockId> edge_sequential() {
     HdrfPartitioner hdrf(edge_config());
-    return run_edge_partition_from_file(*edge_path_, hdrf).edge_assignment;
+    EdgeListStream stream(*edge_path_);
+    return run_stream(stream, hdrf, sequential()).edge_assignment;
   }
 
   static std::vector<BlockId> edge_pipelined() {
     HdrfPartitioner hdrf(edge_config());
-    PipelineConfig pipeline;
-    pipeline.watchdog_ms = 20000;
-    return run_edge_partition_from_file(*edge_path_, hdrf, pipeline)
-        .edge_assignment;
+    EdgeListStream stream(*edge_path_);
+    return run_stream(stream, hdrf, pipelined()).edge_assignment;
+  }
+
+  static std::vector<BlockId> buffered(const PipelineConfig& policy) {
+    MetisNodeStream stream(*metis_path_);
+    BufferedPartitioner core(num_nodes_, static_cast<NodeWeight>(num_nodes_), kK,
+                             buffered_config());
+    return run_stream(stream, core, policy).assignment;
+  }
+
+  /// No reader thread: fill and consume alternate on the calling thread.
+  static PipelineConfig sequential() {
+    PipelineConfig policy;
+    policy.ring_batches = 0;
+    return policy;
+  }
+
+  static PipelineConfig pipelined() {
+    PipelineConfig policy;
+    policy.watchdog_ms = 20000; // backstop: a hang must fail, not wedge CI
+    return policy;
   }
 
   /// The chaos contract, applied to one driver under one armed plan: clean

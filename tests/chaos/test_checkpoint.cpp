@@ -16,14 +16,15 @@
 #include <string>
 #include <vector>
 
+#include "oms/buffered/buffered_partitioner.hpp"
 #include "oms/core/online_multisection.hpp"
 #include "oms/graph/generators.hpp"
 #include "oms/graph/io.hpp"
 #include "oms/partition/fennel.hpp"
 #include "oms/partition/hashing.hpp"
 #include "oms/partition/ldg.hpp"
-#include "oms/stream/buffered_stream_driver.hpp"
 #include "oms/stream/metis_stream.hpp"
+#include "oms/stream/pipeline.hpp"
 #include "oms/stream/window_partitioner.hpp"
 #include "oms/util/fault_injection.hpp"
 #include "oms/util/io_error.hpp"
@@ -76,14 +77,34 @@ protected:
                                                 kK, config);
   }
 
+  /// The run_stream policy of a checkpointing (and/or resuming) pass:
+  /// sequential unless \p ring_batches adds the reader thread.
+  static PipelineConfig policy_of(const CheckpointConfig& ckpt,
+                                  const CheckpointState* resume,
+                                  std::size_t ring_batches = 0) {
+    PipelineConfig policy;
+    policy.ring_batches = ring_batches;
+    policy.checkpoint = ckpt;
+    policy.resume = resume;
+    return policy;
+  }
+
   /// One sequential pass, optionally checkpointing and/or resuming.
   static std::vector<BlockId> run_algo(const std::string& algo,
                                        const CheckpointConfig& ckpt = {},
                                        const CheckpointState* resume = nullptr) {
     auto assigner = make_assigner(algo);
     MetisNodeStream stream(*graph_path_);
-    return run_one_pass_resumable(stream, *assigner, algo, kSeed, ckpt, resume)
-        .assignment;
+    return run_stream(stream, *assigner, policy_of(ckpt, resume)).assignment;
+  }
+
+  /// One buffered pass over the test graph under \p policy.
+  static std::vector<BlockId> run_buffered(const BufferedConfig& config,
+                                           const PipelineConfig& policy) {
+    MetisNodeStream stream(*graph_path_);
+    BufferedPartitioner core(num_nodes_, static_cast<NodeWeight>(num_nodes_), kK,
+                             config);
+    return run_stream(stream, core, policy).assignment;
   }
 
   static std::string* graph_path_;
@@ -244,8 +265,7 @@ TEST_F(CheckpointTest, KilledBufferedRunResumesBitIdenticallyForBothEngines) {
       config.engine = BufferedEngine::kMultilevel;
     }
     const std::string algo = buffered_checkpoint_algo_id(config);
-    const std::vector<BlockId> golden =
-        buffered_partition_from_file(*graph_path_, kK, config).assignment;
+    const std::vector<BlockId> golden = run_buffered(config, policy_of({}, nullptr));
 
     const std::string ckpt_path = temp_path((algo + "_kill.bin").c_str());
     CheckpointConfig ckpt;
@@ -253,18 +273,14 @@ TEST_F(CheckpointTest, KilledBufferedRunResumesBitIdenticallyForBothEngines) {
     ckpt.every_nodes = 500; // lands on the first buffer boundary >= 500
 
     FaultPlan::arm(FaultPlan::parse("checkpoint.die@1"));
-    EXPECT_THROW((void)buffered_partition_from_file_resumable(
-                     *graph_path_, kK, config, ckpt, nullptr),
-                 IoError)
+    EXPECT_THROW((void)run_buffered(config, policy_of(ckpt, nullptr)), IoError)
         << algo;
     FaultPlan::disarm();
 
     const CheckpointState state = read_checkpoint_file(ckpt_path);
     EXPECT_NO_THROW(validate_resume(state.meta, algo, kK, kSeed, num_nodes_));
     const std::vector<BlockId> resumed =
-        buffered_partition_from_file_resumable(*graph_path_, kK, config, ckpt,
-                                               &state)
-            .assignment;
+        run_buffered(config, policy_of(ckpt, &state));
     EXPECT_EQ(resumed, golden) << algo << ": resumed run diverged";
     std::remove(ckpt_path.c_str());
   }
@@ -292,6 +308,49 @@ TEST_F(CheckpointTest, ResumeFromEverySnapshotMatchesGolden) {
   }
 }
 
+TEST_F(CheckpointTest, PipelinedRunsSnapshotAndResumeLikeSequentialOnes) {
+  // With a reader thread parsing ahead, a snapshot still records the position
+  // after the last *consumed* batch: same cadence, and a resume on either
+  // route reproduces the uninterrupted run.
+  const std::vector<BlockId> golden = run_algo("fennel");
+  const std::string ckpt_path = temp_path("pipelined_kill.bin");
+  CheckpointConfig ckpt;
+  ckpt.path = ckpt_path;
+  ckpt.every_nodes = 300;
+  {
+    auto assigner = make_assigner("fennel");
+    MetisNodeStream stream(*graph_path_);
+    FaultPlan::arm(FaultPlan::parse("checkpoint.die@2"));
+    EXPECT_THROW((void)run_stream(stream, *assigner, policy_of(ckpt, nullptr, 4)),
+                 IoError);
+    FaultPlan::disarm();
+  }
+  const CheckpointState state = read_checkpoint_file(ckpt_path);
+  EXPECT_EQ(state.meta.nodes_streamed, 600u);
+  for (const std::size_t ring : {std::size_t{0}, std::size_t{4}}) {
+    auto assigner = make_assigner("fennel");
+    MetisNodeStream stream(*graph_path_);
+    const PipelineConfig policy = policy_of(ckpt, &state, ring);
+    EXPECT_EQ(run_stream(stream, *assigner, policy).assignment, golden)
+        << "ring=" << ring;
+  }
+
+  BufferedConfig config;
+  config.buffer_size = 200;
+  config.seed = kSeed;
+  const std::vector<BlockId> buffered_golden =
+      run_buffered(config, policy_of({}, nullptr));
+  ckpt.every_nodes = 500;
+  FaultPlan::arm(FaultPlan::parse("checkpoint.die@1"));
+  EXPECT_THROW((void)run_buffered(config, policy_of(ckpt, nullptr, 4)), IoError);
+  FaultPlan::disarm();
+  const CheckpointState buffered_state = read_checkpoint_file(ckpt_path);
+  EXPECT_EQ(buffered_state.meta.nodes_streamed, 600u); // first boundary >= 500
+  EXPECT_EQ(run_buffered(config, policy_of(ckpt, &buffered_state, 4)),
+            buffered_golden);
+  std::remove(ckpt_path.c_str());
+}
+
 TEST_F(CheckpointTest, PayloadAlgorithmMismatchSurfacesCleanly) {
   // A checkpoint whose payload belongs to a different algorithm family (here:
   // a buffered payload fed to a one-pass assigner) must raise IoError through
@@ -304,10 +363,7 @@ TEST_F(CheckpointTest, PayloadAlgorithmMismatchSurfacesCleanly) {
   ckpt.path = ckpt_path;
   ckpt.every_nodes = 500;
   FaultPlan::arm(FaultPlan::parse("checkpoint.die@1"));
-  EXPECT_THROW((void)buffered_partition_from_file_resumable(*graph_path_, kK,
-                                                            config, ckpt,
-                                                            nullptr),
-               IoError);
+  EXPECT_THROW((void)run_buffered(config, policy_of(ckpt, nullptr)), IoError);
   FaultPlan::disarm();
   CheckpointState state = read_checkpoint_file(ckpt_path);
   // Skip validate_resume on purpose (its algo check would already refuse) to
@@ -329,7 +385,7 @@ TEST_F(CheckpointTest, WindowRefusesCheckpointingWithCleanError) {
                            kK);
   MetisNodeStream stream(*graph_path_);
   try {
-    (void)run_one_pass_resumable(stream, window, "window", kSeed, ckpt, nullptr);
+    (void)run_stream(stream, window, policy_of(ckpt, nullptr));
     FAIL() << "window checkpointing did not fail";
   } catch (const IoError& e) {
     EXPECT_NE(std::string(e.what()).find("checkpoint"), std::string::npos)

@@ -98,6 +98,24 @@ for engine in lp multilevel; do
     "$base" "$resumed"
 done
 
+# The reader thread (--pipeline) checkpoints and resumes the same way: its
+# snapshots record the position after the last consumed batch.
+for algo in fennel buffered; do
+  ckpt="$tmpdir/${algo}_pipelined.ckpt"
+  resumed="$tmpdir/${algo}_pipelined_resumed.txt"
+  base="$tmpdir/${algo}_base.txt"
+  [ "$algo" = buffered ] && base="$tmpdir/buffered_lp_base.txt"
+  check_clean_error "$algo --pipeline killed after snapshot" 1 \
+    env OMS_FAULTS=checkpoint.die@1 \
+    "$tool" "$graph" --k 4 --algo "$algo" --buffer-size 256 --pipeline \
+    --checkpoint "$ckpt" --checkpoint-every 512 --output "$resumed"
+  check_clean_error "$algo --pipeline resume" 0 \
+    "$tool" "$graph" --k 4 --algo "$algo" --buffer-size 256 --pipeline \
+    --resume "$ckpt" --output "$resumed"
+  check_identical "$algo --pipeline resumed run matches baseline" \
+    "$base" "$resumed"
+done
+
 # Resume may keep checkpointing onward: kill again later, resume again.
 ckpt="$tmpdir/chain.ckpt"
 chain="$tmpdir/chain.txt"
@@ -152,9 +170,13 @@ check_clean_error "resume from truncated checkpoint" 2 \
 # --- flag conflicts ---------------------------------------------------------
 
 check_clean_error "checkpoint with --pipeline" 2 \
-  "$tool" "$graph" --k 4 --checkpoint "$tmpdir/x.ckpt" --pipeline
+  "$tool" "$graph" --k 4 --checkpoint "$tmpdir/x.ckpt" --pipeline \
+  --io-threads 2
 check_clean_error "checkpoint with window algo" 2 \
   "$tool" "$graph" --k 4 --algo window --checkpoint "$tmpdir/x.ckpt"
+printf '0 1\n1 2\n' > "$tmpdir/tiny.edgelist"
+check_clean_error "checkpoint on an edge list" 2 \
+  "$tool" "$tmpdir/tiny.edgelist" --k 2 --checkpoint "$tmpdir/x.ckpt"
 check_clean_error "zero checkpoint cadence" 2 \
   "$tool" "$graph" --k 4 --checkpoint "$tmpdir/x.ckpt" --checkpoint-every 0
 
@@ -184,6 +206,22 @@ elif ! printf '%s' "$skip_out" | grep -q "skipped 1 malformed line"; then
   failures=$((failures + 1))
 else
   echo "ok   [skip policy completes]"
+fi
+
+# The buffered model applies the same policy: the skipped line becomes an
+# isolated node.
+skip_out="$("$tool" "$tmpdir/oneline.graph" --k 2 --algo buffered --from-disk \
+  --on-error skip 2>&1)"
+if [ $? -ne 0 ]; then
+  echo "FAIL [buffered skip policy completes]: non-zero exit"
+  echo "$skip_out" | sed 's/^/    /'
+  failures=$((failures + 1))
+elif ! printf '%s' "$skip_out" | grep -q "skipped 1 malformed line"; then
+  echo "FAIL [buffered skip policy completes]: missing skip summary"
+  echo "$skip_out" | sed 's/^/    /'
+  failures=$((failures + 1))
+else
+  echo "ok   [buffered skip policy completes]"
 fi
 
 # An exhausted skip budget turns back into a clean failure.

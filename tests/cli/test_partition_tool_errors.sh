@@ -104,12 +104,15 @@ check_clean_error "window from-disk non-numeric token" 1 \
 check_clean_error "window pipelined neighbor out of range" 1 \
   "$tool" "$tmpdir/range.graph" --k 2 --algo window --pipeline
 
-# Truly-unsupported combinations keep a single exit-2 diagnostic: the window
-# commits in stream order, so more than one pipeline consumer is impossible.
+# One ordered consumer: the window, the buffered model and the vertex-cut
+# assigners commit in stream order, so --pipeline takes only --io-threads 1
+# there; anything else is a single exit-2 diagnostic.
 check_clean_error "window pipelined multi-consumer" 2 \
   "$tool" "$tmpdir/good.graph" --k 2 --algo window --pipeline --io-threads 2
 check_clean_error "window pipelined all-hardware consumers" 2 \
   "$tool" "$tmpdir/good.graph" --k 2 --algo window --pipeline --io-threads 0
+check_clean_error "buffered pipelined multi-consumer" 2 \
+  "$tool" "$tmpdir/good.graph" --k 2 --algo buffered --pipeline --io-threads 2
 
 # Flag validation: out-of-range tuning values are usage errors (exit 2).
 check_clean_error "zero buffer size" 2 \
@@ -159,6 +162,8 @@ check_clean_error "edgelist pipelined control" 0 \
   "$tool" "$tmpdir/good.edgelist" --k 2 --pipeline
 check_clean_error "edgelist explicit --format override" 0 \
   "$tool" "$tmpdir/good.edgelist" --format edgelist --algo dbh --k 2
+check_clean_error "edgelist pipelined multi-consumer" 2 \
+  "$tool" "$tmpdir/good.edgelist" --k 2 --pipeline --io-threads 2
 
 # Non-numeric endpoint.
 printf '0 1\n2 xyz\n' > "$tmpdir/garbage.edgelist"
@@ -207,6 +212,29 @@ check_clean_error "negative seed rejected as u64" 2 \
   "$tool" "$tmpdir/good.graph" --k 2 --seed -1
 check_clean_error "no input graph" 2 \
   "$tool" --k 2
+
+# --- Streaming from a pipe -------------------------------------------------
+
+# --from-disk opens the input once, so a FIFO streams exactly like the
+# regular file. (The writer is bounded so a failed run cannot hang it.)
+mkfifo "$tmpdir/fifo.graph"
+"$tool" "$tmpdir/good.graph" --k 2 --from-disk --output "$tmpdir/file.part" \
+  > /dev/null 2>&1
+timeout 20 sh -c 'cat "$1" > "$2"' sh "$tmpdir/good.graph" "$tmpdir/fifo.graph" &
+writer=$!
+"$tool" "$tmpdir/fifo.graph" --k 2 --from-disk --output "$tmpdir/fifo.part" \
+  > /dev/null 2>&1
+code=$?
+wait "$writer"
+if [ "$code" -eq 0 ] && cmp -s "$tmpdir/file.part" "$tmpdir/fifo.part"; then
+  echo "ok   [--from-disk from a pipe matches the regular file]"
+else
+  echo "FAIL [--from-disk from a pipe matches the regular file]: exit $code"
+  failures=$((failures + 1))
+fi
+# Resuming seeks back into the input, which a pipe cannot do.
+check_clean_error "--resume from a pipe" 2 \
+  "$tool" "$tmpdir/fifo.graph" --k 2 --resume "$tmpdir/none.ckpt"
 
 # --- Observability flags ----------------------------------------------------
 

@@ -168,7 +168,8 @@ TEST(GoldenEquivalence, FlatHashing) {
   PipelineConfig config;
   config.assign_threads = 1;
   config.batch_nodes = batch_nodes;
-  const std::uint64_t h = fnv1a(run_one_pass_from_file(path, a, config).assignment);
+  MetisNodeStream stream(path);
+  const std::uint64_t h = fnv1a(run_stream(stream, a, config).assignment);
   std::remove(path.c_str());
   return h;
 }

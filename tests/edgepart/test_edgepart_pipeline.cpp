@@ -1,8 +1,8 @@
 /// \file test_edgepart_pipeline.cpp
-/// \brief The pipelined edge-stream driver: bit-identical output to the
-///        sequential stream across batch/ring geometries, parity with the
-///        in-memory driver, and IoError surfacing from the producer thread
-///        without deadlocking the pipeline.
+/// \brief Edge lists through run_stream's reader thread: bit-identical
+///        output to the sequential route across batch/ring geometries,
+///        parity with the in-memory driver, and IoError surfacing from the
+///        producer thread without deadlocking the pipeline.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,6 +24,21 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
+/// The sequential route: no reader thread.
+PipelineConfig sequential_policy() {
+  PipelineConfig policy;
+  policy.ring_batches = 0;
+  return policy;
+}
+
+/// Open the edge list \p path and stream it through \p partitioner.
+EdgePartitionResult stream_edges(const std::string& path,
+                                 StreamingEdgePartitioner& partitioner,
+                                 const PipelineConfig& policy) {
+  EdgeListStream source(path, policy.reader_buffer_bytes);
+  return run_stream(source, partitioner, policy);
+}
+
 TEST(EdgePartPipeline, BitIdenticalToSequentialAcrossGeometries) {
   const CsrGraph graph = gen::barabasi_albert(3000, 5, 17);
   const std::string path = temp_path("oms_ep_pipe.edgelist");
@@ -32,7 +47,7 @@ TEST(EdgePartPipeline, BitIdenticalToSequentialAcrossGeometries) {
   EdgePartConfig config;
   config.k = 16;
   HdrfPartitioner sequential(config);
-  const auto expected = run_edge_partition_from_file(path, sequential);
+  const auto expected = stream_edges(path, sequential, sequential_policy());
   ASSERT_EQ(expected.stats.num_edges, graph.num_edges());
   ASSERT_EQ(expected.stats.num_vertices, graph.num_nodes());
 
@@ -46,7 +61,7 @@ TEST(EdgePartPipeline, BitIdenticalToSequentialAcrossGeometries) {
     pipeline.batch_nodes = geo.batch_edges;
     pipeline.ring_batches = geo.ring;
     HdrfPartitioner partitioner(config);
-    const auto result = run_edge_partition_from_file(path, partitioner, pipeline);
+    const auto result = stream_edges(path, partitioner, pipeline);
     EXPECT_EQ(result.edge_assignment, expected.edge_assignment)
         << "batch=" << geo.batch_edges << " ring=" << geo.ring;
     EXPECT_EQ(result.stats.num_edges, expected.stats.num_edges);
@@ -63,12 +78,12 @@ TEST(EdgePartPipeline, HierarchicalPartitionerPipelinesIdentically) {
   const SystemHierarchy topo({4, 4}, {1, 10});
   EdgePartConfig config;
   HierarchicalHdrfPartitioner sequential(topo, config);
-  const auto expected = run_edge_partition_from_file(path, sequential);
+  const auto expected = stream_edges(path, sequential, sequential_policy());
 
   PipelineConfig pipeline;
   pipeline.batch_nodes = 256;
   HierarchicalHdrfPartitioner pipelined(topo, config);
-  const auto result = run_edge_partition_from_file(path, pipelined, pipeline);
+  const auto result = stream_edges(path, pipelined, pipeline);
   EXPECT_EQ(result.edge_assignment, expected.edge_assignment);
   std::remove(path.c_str());
 }
@@ -93,7 +108,7 @@ TEST(EdgePartPipeline, FileDriverMatchesInMemoryDriver) {
   DbhPartitioner from_memory(config);
   DbhPartitioner from_file(config);
   const auto mem = run_edge_partition(edges, from_memory);
-  const auto file = run_edge_partition_from_file(path, from_file);
+  const auto file = stream_edges(path, from_file, sequential_policy());
   EXPECT_EQ(mem.edge_assignment, file.edge_assignment);
   EXPECT_EQ(mem.stats.num_edges, file.stats.num_edges);
   EXPECT_EQ(mem.stats.num_vertices, file.stats.num_vertices);
@@ -118,7 +133,7 @@ TEST(EdgePartPipeline, IoErrorFromProducerSurfacesWithoutDeadlock) {
     pipeline.batch_nodes = batch;
     HdrfPartitioner partitioner(config);
     EXPECT_THROW(
-        { (void)run_edge_partition_from_file(path, partitioner, pipeline); },
+        { (void)stream_edges(path, partitioner, pipeline); },
         IoError);
   }
   std::remove(path.c_str());
@@ -136,7 +151,7 @@ TEST(EdgePartPipeline, EmptyStreamRaisesThroughThePipeline) {
   PipelineConfig pipeline;
   HdrfPartitioner partitioner(config);
   EXPECT_THROW(
-      { (void)run_edge_partition_from_file(path, partitioner, pipeline); },
+      { (void)stream_edges(path, partitioner, pipeline); },
       IoError);
   std::remove(path.c_str());
 }

@@ -12,6 +12,7 @@
 #include "oms/partition/fennel.hpp"
 #include "oms/partition/metrics.hpp"
 #include "oms/stream/metis_stream.hpp"
+#include "oms/stream/pipeline.hpp"
 
 namespace oms {
 namespace {
@@ -28,11 +29,13 @@ TEST(EndToEnd, DiskStreamingMatchesInMemoryForOms) {
                          config);
   const StreamResult in_memory = run_one_pass(g, mem, 1);
 
-  MetisNodeStream probe(path);
-  OnlineMultisection disk(probe.header().num_nodes, probe.header().num_edges,
-                          static_cast<NodeWeight>(probe.header().num_nodes), topo,
+  MetisNodeStream stream(path);
+  OnlineMultisection disk(stream.header().num_nodes, stream.header().num_edges,
+                          static_cast<NodeWeight>(stream.header().num_nodes), topo,
                           config);
-  const StreamResult from_disk = run_one_pass_from_file(path, disk);
+  PipelineConfig sequential;
+  sequential.ring_batches = 0; // no reader thread
+  const StreamResult from_disk = run_stream(stream, disk, sequential);
 
   EXPECT_EQ(in_memory.assignment, from_disk.assignment);
   std::remove(path.c_str());

@@ -215,8 +215,10 @@ TEST(FacadeParity, EdgePartitionMatchesDriver) {
   config.epsilon = req.epsilon;
   config.seed = req.seed;
   HdrfPartitioner direct(config);
-  const EdgePartitionResult reference = run_edge_partition_from_file(
-      file.path(), direct, StreamErrorPolicy{}, nullptr);
+  EdgeListStream stream(file.path());
+  PipelineConfig sequential;
+  sequential.ring_batches = 0; // no reader thread
+  const EdgePartitionResult reference = run_stream(stream, direct, sequential);
 
   const PartitionArtifact artifact = Partitioner().partition(req);
   EXPECT_TRUE(artifact.edge_partition);
@@ -339,7 +341,8 @@ TEST(FacadeNormalize, RejectsContradictoryRequests) {
   req = {};
   req.k = 4;
   req.checkpoint = "ckpt.bin";
-  req.pipeline = true; // the checkpointing driver is sequential
+  req.pipeline = true;
+  req.io_threads = 2; // snapshots need one ordered consumer
   reject(req);
 
   req = {};

@@ -13,6 +13,7 @@
 #include "oms/graph/io.hpp"
 #include "oms/stream/block_weights.hpp"
 #include "oms/stream/metis_stream.hpp"
+#include "oms/stream/pipeline.hpp"
 #include "tests/test_support.hpp"
 
 namespace oms {
@@ -236,7 +237,10 @@ TEST(MetisStream, FileDriverMatchesInMemoryDriver) {
   RecordingAssigner mem_assigner(g.num_nodes(), 5);
   const StreamResult mem = run_one_pass(g, mem_assigner, 1);
   RecordingAssigner file_assigner(g.num_nodes(), 5);
-  const StreamResult file = run_one_pass_from_file(path, file_assigner);
+  MetisNodeStream stream(path);
+  PipelineConfig sequential;
+  sequential.ring_batches = 0; // no reader thread
+  const StreamResult file = run_stream(stream, file_assigner, sequential);
 
   EXPECT_EQ(mem.assignment, file.assignment);
   EXPECT_EQ(mem_assigner.degrees, file_assigner.degrees);

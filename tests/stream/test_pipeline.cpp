@@ -1,7 +1,7 @@
 /// \file test_pipeline.cpp
-/// \brief The pipelined disk driver must change *when* work happens, never
+/// \brief run_stream's reader thread must change *when* work happens, never
 ///        *what* is decided: single-consumer runs are bit-identical to the
-///        sequential file driver across batch/ring geometries; multi-consumer
+///        sequential route across batch/ring geometries; multi-consumer
 ///        runs keep the parallel driver's coverage and overshoot invariants;
 ///        an IoError raised mid-stream surfaces on the caller instead of
 ///        deadlocking; fill_batch survives rewind() and batch seams.
@@ -55,6 +55,20 @@ CsrGraph weighted_fixture(NodeId n) {
   return std::move(builder).build();
 }
 
+/// The sequential route: no reader thread.
+PipelineConfig sequential_policy() {
+  PipelineConfig policy;
+  policy.ring_batches = 0;
+  return policy;
+}
+
+/// Open \p path as the policy's source and stream it through \p assigner.
+StreamResult stream_file(const std::string& path, OnePassAssigner& assigner,
+                         const PipelineConfig& policy) {
+  MetisNodeStream source(path, policy.reader_buffer_bytes);
+  return run_stream(source, assigner, policy);
+}
+
 std::unique_ptr<FennelPartitioner> fennel_for(const CsrGraph& g, BlockId k) {
   PartitionConfig pc;
   pc.k = k;
@@ -63,7 +77,7 @@ std::unique_ptr<FennelPartitioner> fennel_for(const CsrGraph& g, BlockId k) {
 }
 
 // ---------------------------------------------------------------------------
-// Decision parity: one consumer == sequential file driver, bit for bit.
+// Decision parity: one consumer == the sequential route, bit for bit.
 // ---------------------------------------------------------------------------
 
 TEST(Pipeline, SingleConsumerMatchesSequentialAcrossGeometries) {
@@ -72,7 +86,7 @@ TEST(Pipeline, SingleConsumerMatchesSequentialAcrossGeometries) {
   write_metis(g, path);
 
   auto sequential = fennel_for(g, 7);
-  const StreamResult expected = run_one_pass_from_file(path, *sequential);
+  const StreamResult expected = stream_file(path, *sequential, sequential_policy());
 
   // Degenerate geometries force every seam: single-node batches, a one-slot
   // ring (strict ping-pong), an arc cap that closes batches early, a reader
@@ -94,7 +108,7 @@ TEST(Pipeline, SingleConsumerMatchesSequentialAcrossGeometries) {
     config.ring_batches = geo.ring;
     config.reader_buffer_bytes = geo.buffer;
     auto pipelined = fennel_for(g, 7);
-    const StreamResult got = run_one_pass_from_file(path, *pipelined, config);
+    const StreamResult got = stream_file(path, *pipelined, config);
     EXPECT_EQ(got.assignment, expected.assignment);
     EXPECT_EQ(got.work.score_evaluations, expected.work.score_evaluations);
   }
@@ -109,13 +123,13 @@ TEST(Pipeline, SingleConsumerMatchesSequentialOnWeightedOms) {
   OmsConfig oc;
   OnlineMultisection sequential(g.num_nodes(), g.num_edges(), g.total_node_weight(),
                                 BlockId{24}, oc);
-  const StreamResult expected = run_one_pass_from_file(path, sequential);
+  const StreamResult expected = stream_file(path, sequential, sequential_policy());
 
   PipelineConfig config;
   config.batch_nodes = 37; // misaligned with n on purpose
   OnlineMultisection pipelined(g.num_nodes(), g.num_edges(), g.total_node_weight(),
                                BlockId{24}, oc);
-  const StreamResult got = run_one_pass_from_file(path, pipelined, config);
+  const StreamResult got = stream_file(path, pipelined, config);
   EXPECT_EQ(got.assignment, expected.assignment);
   std::remove(path.c_str());
 }
@@ -137,13 +151,13 @@ TEST(Pipeline, CommentsIsolatedNodesAndMissingTrailingLines) {
     return std::make_unique<FennelPartitioner>(5, 2, 5, pc);
   };
   auto sequential = assigner();
-  const StreamResult expected = run_one_pass_from_file(path, *sequential);
+  const StreamResult expected = stream_file(path, *sequential, sequential_policy());
   for (const std::size_t batch : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     PipelineConfig config;
     config.batch_nodes = batch;
     config.ring_batches = 1;
     auto pipelined = assigner();
-    const StreamResult got = run_one_pass_from_file(path, *pipelined, config);
+    const StreamResult got = stream_file(path, *pipelined, config);
     EXPECT_EQ(got.assignment, expected.assignment) << "batch=" << batch;
   }
   std::remove(path.c_str());
@@ -166,7 +180,7 @@ TEST(Pipeline, MultiConsumerIsCoveredAndBalanced) {
     PipelineConfig pipeline;
     pipeline.assign_threads = threads;
     pipeline.batch_nodes = 1024;
-    const StreamResult r = run_one_pass_from_file(path, oms, pipeline);
+    const StreamResult r = stream_file(path, oms, pipeline);
     verify_partition(g, r.assignment, k);
 
     const NodeWeight lmax =
@@ -204,7 +218,7 @@ TEST(Pipeline, IoErrorMidStreamSurfacesOnCaller) {
   PipelineConfig config;
   config.batch_nodes = 8;
   config.ring_batches = 1;
-  EXPECT_THROW((void)run_one_pass_from_file(path, fennel, config), IoError);
+  EXPECT_THROW((void)stream_file(path, fennel, config), IoError);
   std::remove(path.c_str());
 }
 
@@ -214,7 +228,7 @@ TEST(Pipeline, IoErrorInHeaderSurfacesBeforeThreadsSpawn) {
   PartitionConfig pc;
   pc.k = 2;
   FennelPartitioner fennel(4, 0, 4, pc);
-  EXPECT_THROW((void)run_one_pass_from_file(path, fennel, PipelineConfig{}), IoError);
+  EXPECT_THROW((void)stream_file(path, fennel, PipelineConfig{}), IoError);
   std::remove(path.c_str());
 }
 
@@ -246,7 +260,7 @@ TEST(Pipeline, ConsumerExceptionUnblocksProducer) {
   PipelineConfig config;
   config.batch_nodes = 16;
   config.ring_batches = 1; // maximal backpressure on the producer
-  EXPECT_THROW((void)run_one_pass_from_file(path, assigner, config),
+  EXPECT_THROW((void)stream_file(path, assigner, config),
                std::runtime_error);
   std::remove(path.c_str());
 }
@@ -318,7 +332,7 @@ TEST(Pipeline, EmptyGraphRunsClean) {
   write_text(path, "0 0\n");
   ThrowingAssigner never_assigns(0); // would throw on any node: none arrive
   const StreamResult r =
-      run_one_pass_from_file(path, never_assigns, PipelineConfig{});
+      stream_file(path, never_assigns, PipelineConfig{});
   EXPECT_TRUE(r.assignment.empty());
   std::remove(path.c_str());
 }

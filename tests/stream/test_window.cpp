@@ -90,13 +90,17 @@ TEST(Window, DiskMatchesInMemory) {
     const StreamResult memory = run_one_pass(g, in_memory, 1);
 
     WindowPartitioner from_disk(g.num_nodes(), g.total_node_weight(), config, k);
-    const StreamResult disk = run_one_pass_from_file(path, from_disk);
+    PipelineConfig sequential;
+    sequential.ring_batches = 0; // no reader thread
+    MetisNodeStream disk_stream(path);
+    const StreamResult disk = run_stream(disk_stream, from_disk, sequential);
     EXPECT_EQ(memory.assignment, disk.assignment) << "w=" << window_size;
 
     WindowPartitioner pipelined(g.num_nodes(), g.total_node_weight(), config, k);
     PipelineConfig pipeline; // 1 consumer: stream order preserved exactly
     pipeline.batch_nodes = 256;
-    const StreamResult piped = run_one_pass_from_file(path, pipelined, pipeline);
+    MetisNodeStream piped_stream(path);
+    const StreamResult piped = run_stream(piped_stream, pipelined, pipeline);
     EXPECT_EQ(memory.assignment, piped.assignment)
         << "w=" << window_size << " (pipelined)";
   }

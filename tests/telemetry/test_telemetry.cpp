@@ -1,15 +1,20 @@
 /// Telemetry registry unit tests: histogram bucket math, per-thread shard
 /// merge under real contention, arm/disarm hook semantics, span nesting,
-/// gauge high-watermarks, and the "oms.metrics.v1" JSON round-trip.
+/// gauge high-watermarks, the "oms.metrics.v1" JSON round-trip, and the
+/// same stage spans and item counts on every partition route.
 #include "oms/telemetry/metrics.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "oms/api/partitioner.hpp"
+#include "oms/graph/generators.hpp"
+#include "oms/graph/io.hpp"
 #include "oms/util/io_error.hpp"
 
 namespace oms::telemetry {
@@ -245,6 +250,59 @@ TEST_F(MetricsTest, MetricNamesAreUniqueAndStable) {
   EXPECT_STREQ(counter_name(Counter::kStreamNodes), "stream.nodes");
   EXPECT_STREQ(gauge_name(Gauge::kProgressTotalItems), "progress.total_items");
   EXPECT_STREQ(hist_name(Hist::kServiceRequest), "service.request_ns");
+}
+
+// --- every partition route reports through the same hooks -------------------
+
+/// Each disk route (METIS one-pass, buffered, edge list; with and without
+/// the reader thread) emits parse and assign spans and counts the streamed
+/// items exactly once. In-memory buffered publishes its node count too.
+TEST(RouteTelemetry, EveryRouteEmitsSpansAndCountsItemsOnce) {
+  const CsrGraph graph = gen::barabasi_albert(3000, 3, 5);
+  const std::string metis = ::testing::TempDir() + "/oms_route_telemetry.graph";
+  const std::string edges = ::testing::TempDir() + "/oms_route_telemetry.edgelist";
+  write_metis(graph, metis);
+  write_edge_list(graph, edges);
+
+  struct Route {
+    const std::string* path;
+    const char* algo;
+    bool from_disk;
+    bool pipeline;
+  };
+  const Route routes[] = {
+      {&metis, "fennel", true, false},   {&metis, "fennel", true, true},
+      {&metis, "buffered", true, false}, {&metis, "buffered", true, true},
+      {&edges, "hdrf", true, false},     {&edges, "hdrf", true, true},
+      {&metis, "buffered", false, false},
+  };
+  for (const Route& route : routes) {
+    PartitionRequest req;
+    req.graph_path = *route.path;
+    req.algo = route.algo;
+    req.k = 4;
+    req.from_disk = route.from_disk;
+    req.pipeline = route.pipeline;
+    const std::string label = std::string(route.algo) +
+                              (route.from_disk ? " disk" : " memory") +
+                              (route.pipeline ? " pipelined" : "");
+    MetricsRegistry registry;
+    MetricsRegistry::arm(registry);
+    (void)Partitioner().partition(req);
+    MetricsRegistry::disarm();
+    const MetricsSnapshot snap = registry.scrape();
+    const bool edge_route = route.path == &edges;
+    const std::uint64_t nodes = edge_route ? 0 : graph.num_nodes();
+    const std::uint64_t edges = edge_route ? graph.num_edges() : 0;
+    EXPECT_EQ(snap.counter(Counter::kStreamNodes), nodes) << label;
+    EXPECT_EQ(snap.counter(Counter::kStreamEdges), edges) << label;
+    if (route.from_disk) {
+      EXPECT_GT(snap.histogram(Hist::kStageParse).count, 0u) << label;
+      EXPECT_GT(snap.histogram(Hist::kStageAssign).count, 0u) << label;
+    }
+  }
+  std::remove(metis.c_str());
+  std::remove(edges.c_str());
 }
 
 } // namespace

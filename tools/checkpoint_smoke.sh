@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Checkpoint kill/resume smoke for CI: on a generated graph, a partition_tool
 # run killed by the deterministic post-snapshot crash fault must resume into
-# a byte-identical partition, for the one-pass and buffered paths. Then a
+# a byte-identical partition, for the one-pass and buffered paths, with and
+# without the --pipeline reader thread. Then a
 # sweep of seeded fault schedules (OMS_FAULT_SEED) over the plain drivers
 # checks the chaos contract end to end: exit 0 with baseline-identical
 # output, or exit 1 with a clean "error:" message — never anything else.
@@ -62,6 +63,8 @@ kill_resume fennel --algo fennel
 kill_resume buffered_lp --algo buffered --buffer-size 512
 kill_resume buffered_ml --algo buffered --buffered-engine multilevel \
   --buffer-size 512
+kill_resume fennel_pipelined --algo fennel --pipeline
+kill_resume buffered_pipelined --algo buffered --buffer-size 512 --pipeline
 
 # Seeded chaos sweep over the plain drivers: clean failure or identical output.
 chaos_sweep() {
