@@ -56,7 +56,8 @@ public:
     FastMod64 mod_children; ///< exact hash % num_children (hashing layers)
     /// Children all cover the same leaf count (=> one shared capacity and
     /// Fennel alpha) and the penalty is strictly increasing — the conditions
-    /// under which the scorer may use the sparse-candidate key scan.
+    /// under which the scorer may use the sparse-candidate key scan, or a
+    /// min-load tree over the children on sequential passes.
     bool fennel_key_scan = false;
 
     [[nodiscard]] BlockId num_leaves() const noexcept { return leaf_end - leaf_begin; }

@@ -19,12 +19,13 @@ std::vector<BlockId> OnlineMultisection::run_offline_multipass(const CsrGraph& g
   weights_.reset();
   assignment_.fill(kInvalidBlock);
   prepare(1);
-  auto& gathered = scratch_.front().gathered;
+  // A local gathered array: the descent's own one must stay all zero.
+  std::vector<EdgeWeight> gathered(static_cast<std::size_t>(max_children_));
   WorkCounters counters;
 
   // current_block[u] = tree block u is assigned to so far (root initially).
   std::vector<std::size_t> current_block(graph.num_nodes(), 0);
-  // prepare(1) above forced the dense layout.
+  // prepare(1) above forced the dense layout (and built the min-load trees).
   const auto weights_view = weights_.view<BlockWeights::Layout::kDense>();
 
   for (std::int32_t pass = 0; pass < tree_.height(); ++pass) {
@@ -57,9 +58,9 @@ std::vector<BlockId> OnlineMultisection::run_offline_multipass(const CsrGraph& g
       const std::int32_t choice = pick_child(
           weights_view, parent, node,
           std::span<const EdgeWeight>(gathered.data(), children), scorer, parent_id,
-          scratch_.front().touched_children.data(), counters);
+          scratch_.front().key_scratch.data(), counters);
       const auto child_id = static_cast<std::size_t>(parent.first_child + choice);
-      weights_.add(child_id, node.weight);
+      add_block_weight(child_id, node.weight); // keeps a later assign()'s trees exact
       current_block[u] = child_id;
     }
   }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "oms/partition/flat_block_loads.hpp"
 #include "oms/partition/partition_config.hpp"
 #include "oms/partition/sparse_select.hpp"
 #include "oms/util/random.hpp"
@@ -64,7 +65,40 @@ void OnlineMultisection::prepare(int num_threads) {
   scratch_.assign(static_cast<std::size_t>(num_threads), DescentScratch{});
   for (DescentScratch& s : scratch_) {
     s.gathered.assign(static_cast<std::size_t>(max_children_), 0);
-    s.touched_children.assign(static_cast<std::size_t>(max_children_), 0);
+    s.key_scratch.assign(static_cast<std::size_t>(max_children_), 0);
+  }
+  // Racy relaxed adds of concurrent passes cannot keep a tree consistent.
+  trees_live_ = num_threads == 1;
+  rebuild_min_trees();
+}
+
+void OnlineMultisection::rebuild_min_trees() {
+  if (!trees_live_) {
+    return;
+  }
+  min_trees_.resize(2 * tree_.num_blocks());
+  for (std::size_t id = 0; id < tree_.num_blocks(); ++id) {
+    const MultisectionTree::Block& parent = tree_.block(id);
+    if (keeps_min_tree(parent)) {
+      const auto first = static_cast<std::size_t>(parent.first_child);
+      min_tree_of(parent).build([this, first](std::int32_t i) {
+        return weights_.load(first + static_cast<std::size_t>(i));
+      });
+    }
+  }
+}
+
+void OnlineMultisection::add_block_weight(std::size_t block_id, NodeWeight delta) {
+  weights_.add(block_id, delta);
+  const std::int32_t parent_id = tree_.block(block_id).parent;
+  OMS_ASSERT_MSG(parent_id >= 0, "the root carries no tracked weight");
+  const MultisectionTree::Block& parent = tree_.block(static_cast<std::size_t>(parent_id));
+  if (trees_live_ && keeps_min_tree(parent)) {
+    const auto first = static_cast<std::size_t>(parent.first_child);
+    min_tree_of(parent).update(static_cast<std::int32_t>(block_id - first),
+                               [this, first](std::int32_t i) {
+                                 return weights_.load(first + static_cast<std::size_t>(i));
+                               });
   }
 }
 
@@ -82,7 +116,14 @@ template <typename WeightsView>
 BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode& node,
                                         int thread_id, WorkCounters& counters) {
   DescentScratch& scratch = scratch_[static_cast<std::size_t>(thread_id)];
+  const std::size_t degree = node.neighbors.size();
+  if (scratch.leaves.size() < degree) {
+    scratch.leaves.resize(degree);
+    scratch.edge_weights.resize(degree);
+    scratch.touched.resize(degree);
+  }
   EdgeWeight* const gathered = scratch.gathered.data();
+  std::int32_t* const touched = scratch.touched.data();
 
   // Frontier of (leaf, edge-weight) pairs of already-assigned neighbors that
   // still lie inside the subtree descended into so far. Filled by a single
@@ -99,19 +140,22 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
                                   ? config_.scorer
                                   : ScorerKind::kHashing;
 
-    // Gather neighbor attraction per candidate child. Hashing ignores the
+    // Gather neighbor attraction per candidate child, recording each child
+    // the moment its attraction leaves zero. Hashing ignores the
     // neighborhood entirely (that is what makes the hybrid layers cheap —
     // Theorem 3's O(1) per hashed layer); quality layers form a prefix of
     // the descent, so the frontier is never needed again once hashing starts.
+    std::size_t num_touched = 0;
+    const auto gather = [&](BlockId leaf, EdgeWeight w) {
+      const std::int32_t child = MultisectionTree::child_index_of_leaf(parent, leaf);
+      EdgeWeight& g = gathered[static_cast<std::size_t>(child)];
+      touched[num_touched] = child;
+      num_touched += g == 0 ? 1 : 0;
+      g += w;
+    };
     if (scorer != ScorerKind::kHashing) {
-      std::fill_n(gathered, children, EdgeWeight{0});
       if (!frontier_built) {
         frontier_built = true;
-        const std::size_t degree = node.neighbors.size();
-        if (scratch.leaves.size() < degree) {
-          scratch.leaves.resize(degree);
-          scratch.edge_weights.resize(degree);
-        }
         counters.neighbor_visits += degree;
         for (std::size_t i = 0; i < degree; ++i) {
           const BlockId leaf = assignment_.load(node.neighbors[i]);
@@ -120,8 +164,7 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
             continue; // unassigned, or assigned outside this subtree
           }
           const EdgeWeight w = node.edge_weights[i];
-          const std::int32_t child = MultisectionTree::child_index_of_leaf(parent, leaf);
-          gathered[static_cast<std::size_t>(child)] += w;
+          gather(leaf, w);
           scratch.leaves[frontier] = leaf;
           scratch.edge_weights[frontier] = w;
           ++frontier;
@@ -135,8 +178,7 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
             continue; // assigned outside the subtree chosen last layer
           }
           const EdgeWeight w = scratch.edge_weights[i];
-          const std::int32_t child = MultisectionTree::child_index_of_leaf(parent, leaf);
-          gathered[static_cast<std::size_t>(child)] += w;
+          gather(leaf, w);
           scratch.leaves[kept] = leaf;
           scratch.edge_weights[kept] = w;
           ++kept;
@@ -145,11 +187,31 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
       }
     }
 
-    const std::int32_t choice = pick_child(
-        weights, parent, node, std::span<const EdgeWeight>(gathered, children),
-        scorer, current, scratch.touched_children.data(), counters);
-    const auto child_id = static_cast<std::size_t>(parent.first_child + choice);
+    const auto first = static_cast<std::size_t>(parent.first_child);
+    const bool min_tree = trees_live_ && keeps_min_tree(parent);
+    std::int32_t choice = -1;
+    if (min_tree) {
+      choice = pick_child_sparse(
+          weights, parent, node, gathered,
+          std::span<const std::int32_t>(touched, num_touched),
+          min_tree_of(parent).min_index(), scorer, counters);
+    }
+    if (choice < 0) {
+      choice = pick_child(weights, parent, node,
+                          std::span<const EdgeWeight>(gathered, children), scorer,
+                          current, scratch.key_scratch.data(), counters);
+    }
+    for (std::size_t t = 0; t < num_touched; ++t) {
+      gathered[static_cast<std::size_t>(touched[t])] = 0;
+    }
+
+    const std::size_t child_id = first + static_cast<std::size_t>(choice);
     weights.add(child_id, node.weight);
+    if (min_tree) {
+      min_tree_of(parent).update(choice, [weights, first](std::int32_t i) {
+        return weights.load(first + static_cast<std::size_t>(i));
+      });
+    }
     counters.layers_traversed += 1;
     current = child_id;
   }
@@ -160,12 +222,55 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
 }
 
 template <typename WeightsView>
+std::int32_t OnlineMultisection::pick_child_sparse(
+    WeightsView weights, const MultisectionTree::Block& parent,
+    const StreamedNode& node, const EdgeWeight* gathered,
+    std::span<const std::int32_t> touched, std::int32_t lightest, ScorerKind scorer,
+    WorkCounters& counters) const {
+  // The dominance argument of sparse_select.hpp: siblings share (capacity,
+  // Fennel factor), so every zero-attraction child with room scores the
+  // same attraction (zero) under a penalty that does not decrease in the
+  // weight, and the lightest (weight, index) child beats all of them. If the
+  // lightest child is attracted instead, a positive attraction at the least
+  // weight beats every zero-attraction child too. Scoring touched ∪
+  // {lightest} in the (score, weight, index) order of BlockChoice therefore
+  // returns the dense scan's winner. If even the lightest child has no room,
+  // none has, and the all-full fallback's answer (most room) is the lightest.
+  if (gathered[static_cast<std::size_t>(lightest)] < 0) {
+    return -1;
+  }
+  const auto first = static_cast<std::size_t>(parent.first_child);
+  const NodeWeight capacity = tree_.capacity_of(first);
+  const double factor = tree_.penalty_factor_of(first);
+  counters.score_evaluations += static_cast<std::uint64_t>(parent.num_children);
+  counters.candidate_evaluations += touched.size() + 1;
+  BlockChoice choice;
+  const auto consider = [&](std::int32_t idx) {
+    const NodeWeight w = weights.load(first + static_cast<std::size_t>(idx));
+    if (w + node.weight > capacity) {
+      return;
+    }
+    const auto attraction = static_cast<double>(gathered[static_cast<std::size_t>(idx)]);
+    const double score =
+        scorer == ScorerKind::kFennel
+            ? attraction - factor * sqrt_(w)
+            : attraction * (1.0 - static_cast<double>(w) / static_cast<double>(capacity));
+    choice.offer(idx, score, w);
+  };
+  for (const std::int32_t idx : touched) {
+    consider(idx);
+  }
+  consider(lightest);
+  return choice.block != kInvalidBlock ? choice.block : lightest;
+}
+
+template <typename WeightsView>
 std::int32_t OnlineMultisection::pick_child(WeightsView weights,
                                             const MultisectionTree::Block& parent,
                                             const StreamedNode& node,
                                             std::span<const EdgeWeight> gathered,
                                             ScorerKind scorer, std::size_t parent_id,
-                                            std::int32_t* touched_scratch,
+                                            std::int32_t* key_scratch,
                                             WorkCounters& counters) const {
   const std::int32_t children = parent.num_children;
   const auto first = static_cast<std::size_t>(parent.first_child);
@@ -208,7 +313,7 @@ std::int32_t OnlineMultisection::pick_child(WeightsView weights,
           return weights.load(first + static_cast<std::size_t>(idx));
         },
         [&](std::int32_t idx) { return gathered[static_cast<std::size_t>(idx)]; },
-        touched_scratch);
+        key_scratch);
     if (best >= 0) {
       return best;
     }
@@ -274,7 +379,7 @@ void OnlineMultisection::unassign(NodeId u, NodeWeight weight) {
   OMS_ASSERT_MSG(leaf != kInvalidBlock, "unassign of a never-assigned node");
   std::size_t id = tree_.leaf_block_id(leaf);
   while (tree_.block(id).parent >= 0) {
-    weights_.add(id, -weight);
+    add_block_weight(id, -weight);
     id = static_cast<std::size_t>(tree_.block(id).parent);
   }
   assignment_.store(u, kInvalidBlock);
@@ -282,6 +387,7 @@ void OnlineMultisection::unassign(NodeId u, NodeWeight weight) {
 
 std::uint64_t OnlineMultisection::state_bytes() const noexcept {
   return assignment_.footprint_bytes() + weights_.footprint_bytes() +
+         static_cast<std::uint64_t>(min_trees_.size() * sizeof(std::int32_t)) +
          static_cast<std::uint64_t>(tree_.num_blocks() *
                                     sizeof(MultisectionTree::Block));
 }
@@ -295,6 +401,7 @@ bool OnlineMultisection::save_stream_state(CheckpointWriter& w) const {
 bool OnlineMultisection::load_stream_state(CheckpointReader& r) {
   load_assignment(r, assignment_);
   load_block_weights(r, weights_);
+  rebuild_min_trees();
   return true;
 }
 

@@ -25,6 +25,7 @@
 #include "oms/stream/block_weights.hpp"
 #include "oms/stream/one_pass_driver.hpp"
 #include "oms/util/assignment_array.hpp"
+#include "oms/util/min_load_tree.hpp"
 #include "oms/util/sqrt_cache.hpp"
 
 namespace oms {
@@ -94,32 +95,68 @@ private:
   BlockId assign_impl(WeightsView weights, const StreamedNode& node, int thread_id,
                       WorkCounters& counters);
 
-  /// Pick a child of \p parent for \p node; gathered[i] holds the weight of
-  /// node's neighbors already assigned below child i. \p touched_scratch
-  /// must hold at least parent.num_children slots (used by the sparse
-  /// Fennel key scan). Defined in online_multisection.cpp; the dense
-  /// instantiation is exported for the offline reference.
+  /// Pick a child of \p parent for \p node by scanning all of its children;
+  /// gathered[i] holds the weight of node's neighbors already assigned below
+  /// child i. Serves the layers without a min-load tree: narrow, unequal or
+  /// hashing layers, and every layer of a concurrent pass. \p key_scratch
+  /// must hold at least parent.num_children slots (used by the sparse Fennel
+  /// key scan). Defined in online_multisection.cpp; the dense instantiation
+  /// is exported for the offline reference.
   template <typename WeightsView>
   [[nodiscard]] std::int32_t pick_child(WeightsView weights,
                                         const MultisectionTree::Block& parent,
                                         const StreamedNode& node,
                                         std::span<const EdgeWeight> gathered,
                                         ScorerKind scorer, std::size_t parent_id,
-                                        std::int32_t* touched_scratch,
+                                        std::int32_t* key_scratch,
                                         WorkCounters& counters) const;
 
+  /// The same choice as pick_child on a layer with a min-load tree, from the
+  /// \p touched children plus the \p lightest one. Returns -1 if the lightest
+  /// child has negative attraction (possible only with negative edge
+  /// weights), where the dominance argument does not hold.
+  template <typename WeightsView>
+  [[nodiscard]] std::int32_t pick_child_sparse(
+      WeightsView weights, const MultisectionTree::Block& parent,
+      const StreamedNode& node, const EdgeWeight* gathered,
+      std::span<const std::int32_t> touched, std::int32_t lightest,
+      ScorerKind scorer, WorkCounters& counters) const;
+
+  /// Sequential passes keep a MinLoadTree over the children of every quality
+  /// layer parent whose children share (capacity, Fennel factor) and number
+  /// at least kMinTreeFanout. Measured: on fan-out 4 the tree upkeep costs
+  /// more than the O(b) key scan it saves, on fan-out 8 they break even.
+  static constexpr std::int32_t kMinTreeFanout = 16;
+  [[nodiscard]] bool keeps_min_tree(const MultisectionTree::Block& parent) const noexcept {
+    return parent.fennel_key_scan && parent.num_children >= kMinTreeFanout &&
+           parent.depth < config_.quality_layers;
+  }
+  /// Children are contiguous, so \p parent's tree sits at 2 * first_child in
+  /// the forest and the trees of distinct parents never overlap.
+  [[nodiscard]] MinLoadTreeView min_tree_of(const MultisectionTree::Block& parent) noexcept {
+    return {min_trees_.data() + 2 * static_cast<std::size_t>(parent.first_child),
+            parent.num_children};
+  }
+  void rebuild_min_trees();
+  /// Cold-path weight change of one block that keeps its parent's tree exact.
+  void add_block_weight(std::size_t block_id, NodeWeight delta);
+
   /// Per-thread descent state. `gathered` holds the per-child attraction of
-  /// the current layer; `leaves`/`edge_weights` hold the shrinking frontier:
-  /// the (final-block, edge-weight) pairs of the node's already-assigned
-  /// neighbors that survive inside the subtree chosen so far. The neighbor
-  /// list itself is scanned exactly once, at the top quality layer; deeper
-  /// layers touch only survivors, so gather work per node is
-  /// O(deg + survivors * layers) instead of O(deg * layers).
+  /// the current layer and is all zero between layers: `touched` lists the
+  /// children a layer's gather made nonzero, and only those are cleared.
+  /// `leaves`/`edge_weights` hold the shrinking frontier: the (final-block,
+  /// edge-weight) pairs of the node's already-assigned neighbors that survive
+  /// inside the subtree chosen so far. The neighbor list itself is scanned
+  /// exactly once, at the top quality layer; deeper layers touch only
+  /// survivors, so gather work per node is O(deg + survivors * layers)
+  /// instead of O(deg * layers), and selection on a tree layer is
+  /// O(touched + log b) instead of O(b).
   struct DescentScratch {
     std::vector<EdgeWeight> gathered;
     std::vector<BlockId> leaves;
     std::vector<EdgeWeight> edge_weights;
-    std::vector<std::int32_t> touched_children; // sparse-scan candidates
+    std::vector<std::int32_t> touched; // one slot per frontier entry
+    std::vector<std::int32_t> key_scratch; // pick_child's sparse key scan
   };
 
   MultisectionTree tree_;
@@ -129,6 +166,11 @@ private:
   SqrtCache sqrt_; // covers [0, root capacity]: every Fennel penalty argument
   std::vector<DescentScratch> scratch_; // per thread
   std::int32_t max_children_ = 0;
+  /// Flat forest of the min-load trees, 2 int32 per block id (see
+  /// min_tree_of); only the child ranges of tree parents are in use. Exact
+  /// iff trees_live_ (sequential passes).
+  std::vector<std::int32_t> min_trees_;
+  bool trees_live_ = false;
 };
 
 } // namespace oms

@@ -1,10 +1,12 @@
 /// \file sparse_select.hpp
-/// \brief Exact sparse-candidate selection for the tuned Fennel objective,
-///        used by the multi-section descent (per layer, fan-out <= 64) and by
-///        flat Fennel on concurrent passes (threads > 1). A sequential flat
-///        pass applies the same dominance argument through a MinLoadTree
-///        (util/min_load_tree.hpp), which yields the representative in O(1)
-///        instead of this O(k) integer reduction.
+/// \brief Exact sparse-candidate selection for the tuned Fennel objective.
+///        It serves the scans that keep no MinLoadTree: flat Fennel and
+///        every multi-section layer on concurrent passes (threads > 1), and
+///        the narrow layers (fan-out below OnlineMultisection's tree cutoff)
+///        of a sequential descent. Sequential flat passes and the wide layers
+///        of a sequential descent apply the same dominance argument through a
+///        MinLoadTree (util/min_load_tree.hpp), which yields the
+///        representative in O(1) instead of this O(k) integer reduction.
 ///
 /// The dense reference loop scores every slot i in ascending order:
 ///

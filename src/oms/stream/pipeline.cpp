@@ -19,6 +19,12 @@ namespace {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
+/// Nodes per one-pass batch on the sequential route. Each batch is assigned
+/// right after it is parsed, so a small one is still in L1 when the assigner
+/// reads its adjacency; the pipelined routes need PipelineConfig::batch_nodes
+/// to amortize the handoff between threads.
+constexpr std::size_t kSequentialBatchNodes = 64;
+
 [[nodiscard]] bool checkpointing(const PipelineConfig& policy) noexcept {
   return !policy.checkpoint.path.empty() || policy.resume != nullptr;
 }
@@ -141,12 +147,14 @@ StreamResult run_stream(MetisNodeStream& source, OnePassAssigner& assigner,
   // into a stack-local inside the batch loop so the shared vector is written
   // once per batch, not once per node (no false sharing on the hot path).
   std::vector<WorkCounters> counters(static_cast<std::size_t>(consumers));
+  const std::size_t batch_nodes = policy.ring_batches == 0
+                                      ? std::min(policy.batch_nodes, kSequentialBatchNodes)
+                                      : policy.batch_nodes;
   StreamResult result;
   result.elapsed_s = drive<NodeBatch>(
       source, policy, consumers, telemetry::Counter::kStreamNodes,
       [&](NodeBatch& batch) {
-        return source.fill_batch(batch, hook.clip(policy.batch_nodes),
-                                 policy.batch_arcs);
+        return source.fill_batch(batch, hook.clip(batch_nodes), policy.batch_arcs);
       },
       [&](const NodeBatch& batch, int thread_id) {
         WorkCounters local;

@@ -65,7 +65,9 @@ struct PipelineConfig {
 
   /// Max nodes (edges, for edge lists) per batch. Also the parallel
   /// decomposition grain when assign_threads > 1 (one batch = one chunk).
-  /// Buffered consumers take whole buffers instead.
+  /// Buffered consumers take whole buffers instead, and a one-pass consumer
+  /// without a reader thread caps it at 64 nodes, so each batch is assigned
+  /// while its adjacency is still in L1.
   std::size_t batch_nodes = 4096;
 
   /// Max adjacency entries per one-pass batch: hub-heavy regions close a

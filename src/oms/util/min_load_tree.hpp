@@ -4,6 +4,11 @@
 ///        exact Fennel/LDG/HDRF block selection (see partition/sparse_select.hpp
 ///        for the dominance argument).
 ///
+/// Users: sequential flat Fennel and LDG (partition/flat_block_loads.hpp),
+/// HDRF (edgepart/hdrf.hpp), and the sequential multi-section descent, which
+/// keeps one tree per wide parent over its children in one flat forest
+/// (core/online_multisection.hpp).
+///
 /// Internal node p holds the winning slot of its children 2p and 2p+1; leaf
 /// k + i stands for slot i. Because the (load, index) order is total, node 1
 /// is the minimum over all leaves for any k, power of two or not. The tree
@@ -21,20 +26,23 @@
 
 namespace oms {
 
-class MinLoadTree {
+/// The tree over caller-owned storage node[0, 2k) (node[0] is unused), so
+/// many small trees can share one allocation.
+class MinLoadTreeView {
 public:
+  MinLoadTreeView(std::int32_t* node, std::int32_t k) noexcept : node_(node), k_(k) {
+    OMS_HEAVY_ASSERT(k >= 1);
+  }
+
   /// (Re)build over slots [0, k) from the current loads; load(i) returns the
   /// load of slot i.
   template <typename LoadAt>
-  void build(std::int32_t k, LoadAt&& load) {
-    OMS_ASSERT(k >= 1);
-    k_ = k;
-    node_.resize(2 * static_cast<std::size_t>(k));
-    for (std::int32_t i = 0; i < k; ++i) {
-      node_[static_cast<std::size_t>(k + i)] = i;
+  void build(LoadAt&& load) const {
+    for (std::int32_t i = 0; i < k_; ++i) {
+      node_[k_ + i] = i;
     }
-    for (std::int32_t p = k - 1; p >= 1; --p) {
-      node_[static_cast<std::size_t>(p)] = winner(p, load);
+    for (std::int32_t p = k_ - 1; p >= 1; --p) {
+      node_[p] = winner(p, load);
     }
   }
 
@@ -42,12 +50,12 @@ public:
   /// Stops early once a match keeps a winner other than \p i, because every
   /// match above it then sees the same two keys as before.
   template <typename LoadAt>
-  void update(std::int32_t i, LoadAt&& load) {
+  void update(std::int32_t i, LoadAt&& load) const {
     OMS_HEAVY_ASSERT(i >= 0 && i < k_);
     for (std::int32_t p = (k_ + i) / 2; p >= 1; p /= 2) {
-      const std::int32_t before = node_[static_cast<std::size_t>(p)];
+      const std::int32_t before = node_[p];
       const std::int32_t after = winner(p, load);
-      node_[static_cast<std::size_t>(p)] = after;
+      node_[p] = after;
       if (after == before && after != i) {
         return;
       }
@@ -60,12 +68,37 @@ public:
 private:
   template <typename LoadAt>
   [[nodiscard]] std::int32_t winner(std::int32_t p, LoadAt& load) const {
-    const std::int32_t a = node_[static_cast<std::size_t>(2 * p)];
-    const std::int32_t b = node_[static_cast<std::size_t>(2 * p + 1)];
+    const std::int32_t a = node_[2 * p];
+    const std::int32_t b = node_[2 * p + 1];
     const auto la = load(a);
     const auto lb = load(b);
     return lb < la || (lb == la && b < a) ? b : a;
   }
+
+  std::int32_t* node_;
+  std::int32_t k_;
+};
+
+/// A MinLoadTreeView that owns its storage.
+class MinLoadTree {
+public:
+  template <typename LoadAt>
+  void build(std::int32_t k, LoadAt&& load) {
+    OMS_ASSERT(k >= 1);
+    k_ = k;
+    node_.resize(2 * static_cast<std::size_t>(k));
+    view().build(load);
+  }
+
+  template <typename LoadAt>
+  void update(std::int32_t i, LoadAt&& load) {
+    view().update(i, load);
+  }
+
+  [[nodiscard]] std::int32_t min_index() const noexcept { return node_[1]; }
+
+private:
+  [[nodiscard]] MinLoadTreeView view() noexcept { return {node_.data(), k_}; }
 
   std::int32_t k_ = 0;
   std::vector<std::int32_t> node_;

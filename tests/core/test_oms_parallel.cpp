@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "oms/core/online_multisection.hpp"
 #include "oms/graph/generators.hpp"
+#include "oms/graph/io.hpp"
 #include "oms/partition/metrics.hpp"
 #include "oms/stream/one_pass_driver.hpp"
+#include "oms/stream/pipeline.hpp"
 
 namespace oms {
 namespace {
@@ -57,6 +62,37 @@ TEST_P(OmsParallel, TreeWeightTotalsMatchNodeWeight) {
         static_cast<std::size_t>(tree.root().first_child + c));
   }
   EXPECT_EQ(top_layer_sum, g.total_node_weight());
+}
+
+// The sequential descent keeps a min-load tree per wide parent (fan-outs 16
+// and 64 here); concurrent passes must keep none, so the TSan leg sees no
+// racy tree write on either concurrent route.
+TEST(OmsParallelWide, InMemoryAndPipelinedMappingInvariants) {
+  const CsrGraph g = gen::barabasi_albert(20000, 5, 5);
+  const SystemHierarchy topo = SystemHierarchy::parse("4:16:64", "1:10:100");
+  const std::string path = ::testing::TempDir() + "/oms_parallel_wide.graph";
+  write_metis(g, path);
+  OmsConfig config;
+  for (const bool pipelined : {false, true}) {
+    OnlineMultisection oms(g.num_nodes(), g.num_edges(), g.total_node_weight(), topo,
+                           config);
+    StreamResult r;
+    if (pipelined) {
+      PipelineConfig policy;
+      policy.assign_threads = 2;
+      MetisNodeStream stream(path);
+      r = run_stream(stream, oms, policy);
+    } else {
+      r = run_one_pass(g, oms, 4);
+    }
+    SCOPED_TRACE(pipelined ? "run_stream, 2 consumers" : "run_one_pass, 4 threads");
+    verify_partition(g, r.assignment, topo.num_pes());
+    EXPECT_TRUE(is_balanced(g, r.assignment, topo.num_pes(), 0.05));
+    EXPECT_EQ(r.work.layers_traversed, static_cast<std::uint64_t>(g.num_nodes()) * 3);
+    // No trees: every quality layer scans all of its children.
+    EXPECT_EQ(r.work.candidate_evaluations, r.work.score_evaluations);
+  }
+  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, OmsParallel, ::testing::Values(1, 2, 4, 8),
