@@ -12,48 +12,48 @@
 #include "oms/graph/generators.hpp"
 #include "oms/mapping/mapping_cost.hpp"
 #include "oms/partition/metrics.hpp"
-#include "oms/stream/one_pass_driver.hpp"
+#include "oms/partition/restream.hpp"
 #include "oms/util/table.hpp"
-#include "oms/util/timer.hpp"
 
 int main(int argc, char** argv) {
   using namespace oms;
 
   const int passes = argc > 1 ? std::atoi(argv[1]) : 5;
+  if (passes < 1) {
+    std::cerr << "usage: remapping [passes >= 1]\n";
+    return 2;
+  }
   const SystemHierarchy topo({4, 16, 2}, {1, 10, 100});
   const CsrGraph comm = gen::random_geometric(1u << 15, /*seed=*/31);
   std::cout << "Graph: rgg15 (n = " << comm.num_nodes() << ", m = "
             << comm.num_edges() << "), topology " << topo.to_string() << "\n\n";
 
-  OmsConfig config;
-  OnlineMultisection oms(comm.num_nodes(), comm.num_edges(),
-                         comm.total_node_weight(), topo, config);
-  oms.prepare(1);
-  WorkCounters counters;
+  const auto run = [&](int num_passes) {
+    OnlineMultisection oms(comm.num_nodes(), comm.num_edges(),
+                           comm.total_node_weight(), topo, OmsConfig{});
+    return restream(comm, oms, num_passes);
+  };
+  const RestreamResult one = run(1);
+  const RestreamResult many = run(passes);
 
-  TablePrinter table({"pass", "J(C,D,Pi)", "edge-cut", "cumulative time [ms]"});
-  Timer timer;
-  std::vector<BlockId> snapshot(comm.num_nodes());
-  for (int pass = 0; pass < passes; ++pass) {
-    for (NodeId u = 0; u < comm.num_nodes(); ++u) {
-      if (pass > 0) {
-        oms.unassign(u, comm.node_weight(u)); // restream: re-place the node
-      }
-      const StreamedNode node{u, comm.node_weight(u), comm.neighbors(u),
-                              comm.incident_weights(u)};
-      oms.assign(node, 0, counters);
-    }
-    for (NodeId u = 0; u < comm.num_nodes(); ++u) {
-      snapshot[u] = oms.block_of(u);
-    }
-    table.add_row({TablePrinter::cell(static_cast<std::int64_t>(pass + 1)),
-                   TablePrinter::cell(mapping_cost(comm, topo, snapshot)),
-                   TablePrinter::cell(edge_cut(comm, snapshot)),
-                   TablePrinter::cell(timer.elapsed_ms())});
+  TablePrinter trace({"pass", "edge-cut"});
+  for (std::size_t p = 0; p < many.cut_per_pass.size(); ++p) {
+    trace.add_row({TablePrinter::cell(static_cast<std::int64_t>(p + 1)),
+                   TablePrinter::cell(many.cut_per_pass[p])});
   }
-  table.print(std::cout);
+  trace.print(std::cout);
 
-  const bool balanced = is_balanced(comm, snapshot, topo.num_pes(), 0.03);
+  TablePrinter summary({"passes", "J(C,D,Pi)", "time [ms]"});
+  summary.add_row({TablePrinter::cell(std::int64_t{1}),
+                   TablePrinter::cell(mapping_cost(comm, topo, one.assignment)),
+                   TablePrinter::cell(one.elapsed_s * 1e3)});
+  summary.add_row({TablePrinter::cell(static_cast<std::int64_t>(passes)),
+                   TablePrinter::cell(mapping_cost(comm, topo, many.assignment)),
+                   TablePrinter::cell(many.elapsed_s * 1e3)});
+  std::cout << '\n';
+  summary.print(std::cout);
+
+  const bool balanced = is_balanced(comm, many.assignment, topo.num_pes(), 0.03);
   std::cout << "\nfinal mapping balanced: " << (balanced ? "yes" : "NO")
             << "\nLater passes see the *complete* placement of every neighbor "
                "instead of only\nthe already-streamed prefix, which is where "

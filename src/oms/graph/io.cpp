@@ -1,94 +1,15 @@
 #include "oms/graph/io.hpp"
 
-#include <charconv>
-#include <cstdio>
 #include <fstream>
-#include <limits>
+#include <memory>
 #include <sstream>
-#include <string_view>
-#include <vector>
 
 #include "oms/graph/graph_builder.hpp"
+#include "oms/stream/metis_stream.hpp"
 #include "oms/util/assert.hpp"
-#include "oms/util/crc32.hpp"
 #include "oms/util/io_error.hpp"
 
 namespace oms {
-namespace {
-
-/// Binary graph cache, version 2: v1 plus a trailing CRC-32 over every
-/// preceding byte and a strict (==, not >=) length check, so truncation,
-/// appended garbage and bit flips all surface as IoError instead of a
-/// silently wrong graph. v1 files ("OMSGRAP1") are refused with a message
-/// telling the user to regenerate — caches are cheap, silent risk is not.
-constexpr std::uint64_t kBinaryMagicV1 = 0x4f4d5347'52415031ULL; // "OMSGRAP1"
-constexpr std::uint64_t kBinaryMagicV2 = 0x4f4d5347'52415032ULL; // "OMSGRAP2"
-
-/// Input defects (malformed bytes, truncation, unopenable paths) raise
-/// IoError with the file position so CLIs fail cleanly; OMS_ASSERT remains
-/// only on the *write* side, where a failure means a broken environment, not
-/// broken user input.
-[[noreturn]] void io_fail(const std::string& path, std::uint64_t line_no,
-                          const std::string& message) {
-  if (line_no == 0) {
-    throw IoError(path + ": " + message);
-  }
-  throw IoError(path + ":" + std::to_string(line_no) + ": " + message);
-}
-
-/// Incremental whitespace-separated integer scanner over one line.
-class LineTokens {
-public:
-  explicit LineTokens(std::string_view line) noexcept : rest_(line) {}
-
-  /// Next integer token; false when the line is exhausted. \p on_error is
-  /// invoked (and must not return) on a malformed token.
-  template <typename OnError>
-  bool next(std::int64_t& out, OnError&& on_error) {
-    while (!rest_.empty() && (rest_.front() == ' ' || rest_.front() == '\t' ||
-                              rest_.front() == '\r')) {
-      rest_.remove_prefix(1);
-    }
-    if (rest_.empty()) {
-      return false;
-    }
-    const auto [ptr, ec] = std::from_chars(rest_.data(), rest_.data() + rest_.size(), out);
-    if (ec != std::errc{}) {
-      on_error();
-    }
-    rest_.remove_prefix(static_cast<std::size_t>(ptr - rest_.data()));
-    return true;
-  }
-
-private:
-  std::string_view rest_;
-};
-
-/// Header lookup: skip comments *and* blank lines.
-bool next_content_line(std::istream& in, std::string& line, std::uint64_t& line_no) {
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.front() != '%') {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Data lines: skip only comments — an *empty* line is an isolated node and
-/// must consume its slot, otherwise every following adjacency list would
-/// shift onto the wrong node.
-bool next_data_line(std::istream& in, std::string& line, std::uint64_t& line_no) {
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line.front() != '%') {
-      return true;
-    }
-  }
-  return false;
-}
-
-} // namespace
 
 void write_metis(const CsrGraph& graph, const std::string& path) {
   std::ofstream out(path);
@@ -165,188 +86,30 @@ void write_edge_list(const CsrGraph& graph, const std::string& path) {
 }
 
 CsrGraph read_metis(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    throw IoError("cannot open graph file '" + path + "'");
-  }
-
-  std::uint64_t line_no = 0;
-  std::string line;
-  if (!next_content_line(in, line, line_no)) {
-    io_fail(path, line_no, "missing METIS header");
-  }
-  const auto bad_header = [&] { io_fail(path, line_no, "malformed METIS header"); };
-  LineTokens header(line);
-  std::int64_t n = 0;
-  std::int64_t m = 0;
-  std::int64_t fmt = 0;
-  if (!header.next(n, bad_header) || !header.next(m, bad_header)) {
-    bad_header();
-  }
-  header.next(fmt, bad_header); // optional
-  if (n < 0 || m < 0) {
-    io_fail(path, line_no, "negative sizes in METIS header");
-  }
-  if (n > static_cast<std::int64_t>(std::numeric_limits<NodeId>::max())) {
-    io_fail(path, line_no,
-            "node count " + std::to_string(n) + " exceeds the supported maximum");
-  }
-  const bool has_edge_weights = (fmt % 10) == 1;
-  const bool has_node_weights = (fmt / 10 % 10) == 1;
-  if (fmt / 100 != 0) {
-    io_fail(path, line_no, "multi-constraint METIS files are unsupported");
-  }
-  // Same header contract as the streaming reader (metis_stream.cpp): an
-  // optional 4th token is the constraint count, and only 1 is workable —
-  // silently consuming one weight per node and parsing the rest as neighbor
-  // ids would corrupt the graph, not reject it.
-  std::int64_t ncon = 1;
-  if (header.next(ncon, bad_header) && ncon != 1) {
-    io_fail(path, line_no, "multi-constraint METIS files are unsupported");
-  }
-  std::int64_t junk = 0;
-  if (header.next(junk, bad_header)) {
-    io_fail(path, line_no, "trailing tokens in METIS header");
-  }
-
-  GraphBuilder builder(static_cast<NodeId>(n));
-  const auto bad_token = [&] { io_fail(path, line_no, "malformed integer token"); };
-  for (NodeId u = 0; u < static_cast<NodeId>(n); ++u) {
-    // Missing trailing lines mean isolated nodes; treat EOF as empty lines.
-    if (!next_data_line(in, line, line_no)) {
-      break;
+  auto stream = std::make_unique<MetisNodeStream>(path);
+  const MetisHeader header = stream->header();
+  GraphBuilder builder(header.num_nodes);
+  StreamedNode node{};
+  while (stream->next(node)) {
+    if (header.has_node_weights) {
+      builder.set_node_weight(node.id, node.weight);
     }
-    LineTokens tokens(line);
-    std::int64_t value = 0;
-    if (has_node_weights) {
-      if (!tokens.next(value, bad_token)) {
-        io_fail(path, line_no, "missing node weight");
-      }
-      builder.set_node_weight(u, value);
-    }
-    while (tokens.next(value, bad_token)) {
-      if (value < 1 || value > n) {
-        io_fail(path, line_no, "neighbor id " + std::to_string(value) +
-                                   " out of range [1, " + std::to_string(n) + "]");
-      }
-      const auto v = static_cast<NodeId>(value - 1);
-      EdgeWeight w = 1;
-      if (has_edge_weights) {
-        std::int64_t wt = 0;
-        if (!tokens.next(wt, bad_token)) {
-          io_fail(path, line_no, "missing edge weight");
-        }
-        w = wt;
-      }
-      // METIS lists every edge from both endpoints; record the canonical
-      // direction only so GraphBuilder does not double the weights.
-      if (u < v) {
-        builder.add_edge(u, v, w);
+    // METIS lists every edge from both endpoints; record the canonical
+    // direction only so GraphBuilder does not double the weights.
+    for (std::size_t i = 0; i < node.neighbors.size(); ++i) {
+      if (node.id < node.neighbors[i]) {
+        builder.add_edge(node.id, node.neighbors[i], node.edge_weights[i]);
       }
     }
   }
+  stream.reset(); // free the chunk buffer before build() allocates the CSR
   CsrGraph graph = std::move(builder).build();
-  if (graph.num_edges() != static_cast<EdgeIndex>(m)) {
-    io_fail(path, 0,
-            "edge count disagrees with METIS header (header says " +
-                std::to_string(m) + ", file has " +
-                std::to_string(graph.num_edges()) + ")");
+  if (graph.num_edges() != header.num_edges) {
+    throw IoError(path + ": edge count disagrees with METIS header (header says " +
+                  std::to_string(header.num_edges) + ", file has " +
+                  std::to_string(graph.num_edges()) + ")");
   }
   return graph;
-}
-
-void write_binary(const CsrGraph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  OMS_ASSERT_MSG(out.good(), "cannot open file for writing");
-  const std::uint64_t magic = kBinaryMagicV2;
-  const std::uint64_t n = graph.num_nodes();
-  const std::uint64_t arcs = graph.num_arcs();
-  std::uint32_t crc = crc32_init();
-  const auto write_raw = [&out, &crc](const void* data, std::size_t bytes) {
-    crc = crc32_update(crc, data, bytes);
-    out.write(static_cast<const char*>(data), static_cast<std::streamsize>(bytes));
-  };
-  write_raw(&magic, sizeof magic);
-  write_raw(&n, sizeof n);
-  write_raw(&arcs, sizeof arcs);
-  write_raw(graph.raw_xadj().data(), graph.raw_xadj().size() * sizeof(EdgeIndex));
-  write_raw(graph.raw_adjncy().data(), graph.raw_adjncy().size() * sizeof(NodeId));
-  write_raw(graph.raw_adjwgt().data(), graph.raw_adjwgt().size() * sizeof(EdgeWeight));
-  write_raw(graph.raw_vwgt().data(), graph.raw_vwgt().size() * sizeof(NodeWeight));
-  const std::uint32_t checksum = crc32_final(crc);
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof checksum);
-  OMS_ASSERT_MSG(out.good(), "write failure");
-}
-
-CsrGraph read_binary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw IoError("cannot open graph file '" + path + "'");
-  }
-  std::uint64_t magic = 0;
-  std::uint64_t n = 0;
-  std::uint64_t arcs = 0;
-  std::uint32_t crc = crc32_init();
-  const auto read_raw = [&in, &path, &crc](void* data, std::size_t bytes) {
-    in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-    if (!in.good()) {
-      io_fail(path, 0, "truncated binary graph file");
-    }
-    crc = crc32_update(crc, data, bytes);
-  };
-  read_raw(&magic, sizeof magic);
-  if (magic == kBinaryMagicV1) {
-    io_fail(path, 0,
-            "binary graph file uses the unchecksummed v1 format; regenerate "
-            "it with write_binary()");
-  }
-  if (magic != kBinaryMagicV2) {
-    io_fail(path, 0, "bad magic in binary graph file");
-  }
-  read_raw(&n, sizeof n);
-  read_raw(&arcs, sizeof arcs);
-  // Sanity-check the advertised sizes against the actual payload before
-  // allocating: a corrupt header must raise IoError, not bad_alloc. The 2^48
-  // ceiling keeps the expected-bytes arithmetic below from wrapping.
-  if (n >= (std::uint64_t{1} << 48) || arcs >= (std::uint64_t{1} << 48)) {
-    io_fail(path, 0, "implausible sizes in binary graph header");
-  }
-  const auto payload_start = in.tellg();
-  in.seekg(0, std::ios::end);
-  const auto file_end = in.tellg();
-  in.seekg(payload_start);
-  const std::uint64_t expected_bytes =
-      (n + 1) * sizeof(EdgeIndex) + arcs * sizeof(NodeId) +
-      arcs * sizeof(EdgeWeight) + n * sizeof(NodeWeight);
-  // Strict equality: payload + trailing CRC and nothing else. A too-long
-  // file means the header does not describe this payload (e.g. concatenated
-  // or half-overwritten caches), which the CRC alone could even pass if the
-  // extra bytes were never read.
-  if (n > static_cast<std::uint64_t>(std::numeric_limits<NodeId>::max()) ||
-      static_cast<std::uint64_t>(file_end - payload_start) <
-          expected_bytes + sizeof(std::uint32_t)) {
-    io_fail(path, 0, "truncated binary graph file");
-  }
-  if (static_cast<std::uint64_t>(file_end - payload_start) >
-      expected_bytes + sizeof(std::uint32_t)) {
-    io_fail(path, 0, "binary graph file longer than its header describes");
-  }
-  std::vector<EdgeIndex> xadj(n + 1);
-  std::vector<NodeId> adjncy(arcs);
-  std::vector<EdgeWeight> adjwgt(arcs);
-  std::vector<NodeWeight> vwgt(n);
-  read_raw(xadj.data(), xadj.size() * sizeof(EdgeIndex));
-  read_raw(adjncy.data(), adjncy.size() * sizeof(NodeId));
-  read_raw(adjwgt.data(), adjwgt.size() * sizeof(EdgeWeight));
-  read_raw(vwgt.data(), vwgt.size() * sizeof(NodeWeight));
-  const std::uint32_t computed = crc32_final(crc);
-  std::uint32_t stored = 0;
-  in.read(reinterpret_cast<char*>(&stored), sizeof stored);
-  if (!in.good() || stored != computed) {
-    io_fail(path, 0, "CRC mismatch in binary graph file (corrupt bytes)");
-  }
-  return CsrGraph(std::move(xadj), std::move(adjncy), std::move(adjwgt),
-                  std::move(vwgt));
 }
 
 } // namespace oms

@@ -1,7 +1,6 @@
 /// \file io.hpp
-/// \brief Graph serialization: METIS text format (the de-facto standard the
-///        paper's benchmark graphs ship in) and a compact binary format used
-///        by the disk-streaming experiments.
+/// \brief Graph serialization: the METIS text format (the de-facto standard
+///        the paper's benchmark graphs ship in) and SNAP-style edge lists.
 #pragma once
 
 #include <string>
@@ -16,20 +15,13 @@ namespace oms {
 void write_metis(const CsrGraph& graph, const std::string& path);
 
 /// Read a METIS file produced by write_metis (or any well-formed METIS graph
-/// with fmt in {"", "0", "1", "10", "11"}). Comment lines (%) are skipped.
-/// Throws oms::IoError (with file:line position) on unopenable paths and
-/// malformed content — bad header, non-numeric token, out-of-range neighbor,
-/// missing weight, edge count disagreeing with the header.
+/// with fmt in {"", "0", "1", "10", "11"}) into memory. It drains a
+/// MetisNodeStream (stream/metis_stream.hpp), so both routes accept the same
+/// files. Throws oms::IoError (with file:line position) on unopenable paths
+/// and malformed content — bad header, non-numeric token, out-of-range
+/// neighbor, missing or out-of-range weight (edge weights must be >= 1, node
+/// weights >= 0), edge count disagreeing with the header.
 [[nodiscard]] CsrGraph read_metis(const std::string& path);
-
-/// Compact binary round-trip (little-endian host assumed; this is a cache
-/// format, not an interchange format). Version 2 ("OMSGRAP2") appends a
-/// CRC-32 over the whole file and the length must match the header exactly.
-/// read_binary throws oms::IoError on unopenable paths, bad magic (including
-/// unchecksummed v1 files, which must be regenerated), implausible sizes,
-/// truncation, trailing garbage, and CRC mismatch.
-void write_binary(const CsrGraph& graph, const std::string& path);
-[[nodiscard]] CsrGraph read_binary(const std::string& path);
 
 /// Write as a SNAP-style whitespace edge list (`u v` or `u v w` per line,
 /// 0-based ids, each undirected edge once with u < v) — the input of

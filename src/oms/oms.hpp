@@ -14,7 +14,7 @@
 #include "oms/api/partition_request.hpp"  // the one request struct + InvalidRequest
 #include "oms/api/partitioner.hpp"        // the facade: partition(request)
 #include "oms/cli/parse_request.hpp"      // flags -> PartitionRequest + UsageError
-#include "oms/graph/io.hpp"               // read_metis / write_metis / binary cache
+#include "oms/graph/io.hpp"               // read_metis / write_metis / write_edge_list
 #include "oms/partition/metrics.hpp"      // edge_cut / imbalance / mapping_cost / ...
 #include "oms/service/client.hpp"         // ServiceClient: self-healing daemon client
 #include "oms/service/protocol.hpp"       // the oms_serve wire protocol

@@ -1,82 +1,73 @@
 /// \file restream.hpp
-/// \brief Restreaming one-pass partitioning (Nishimura & Ugander): run the
-///        scoring pass several times over the input; from the second pass on
-///        a node is first removed from its current block and then re-placed.
+/// \brief Restreaming (Nishimura & Ugander): run the one-pass scoring several
+///        times over the input; from the second pass on a node is first
+///        removed from its current block and then re-placed, so it sees the
+///        *complete* placement of its neighbors instead of only the
+///        already-streamed prefix.
 ///
-/// The paper cites ReLDG/ReFennel as related work and names "remapping" via
-/// restreamed multi-section as a natural extension (Section 3.2); this module
-/// provides the machinery for both.
+/// One loop serves ReFennel, ReLDG and the remapping extension the paper
+/// sketches for the online multi-section (Section 3.2: "it is possible to
+/// iteratively improve a process mapping solution through multiple passes
+/// ... coupling our algorithm with restreaming algorithms such as
+/// ReFennel"): any assigner with unassign(NodeId, NodeWeight) —
+/// OnlineMultisection, FennelPartitioner, LdgPartitioner — restreams here.
 #pragma once
 
-#include <utility>
+#include <vector>
 
 #include "oms/graph/csr_graph.hpp"
-#include "oms/partition/fennel.hpp"
-#include "oms/partition/ldg.hpp"
-#include "oms/partition/partition_config.hpp"
-#include "oms/stream/one_pass_driver.hpp"
+#include "oms/partition/metrics.hpp"
+#include "oms/stream/streamed_node.hpp"
+#include "oms/types.hpp"
+#include "oms/util/assert.hpp"
+#include "oms/util/timer.hpp"
+#include "oms/util/work_counters.hpp"
 
 namespace oms {
-
-/// Extension of the one-pass interface for assigners that support
-/// re-placement of already-assigned nodes.
-class RestreamableAssigner : public OnePassAssigner {
-public:
-  /// Remove \p u (weight \p weight) from its current block; the next assign()
-  /// for u re-places it. Only called for nodes already assigned.
-  virtual void unassign_node(NodeId u, NodeWeight weight) = 0;
-};
 
 /// Result of a restreaming run: per-pass objective trace plus the final
 /// assignment (taken from the assigner).
 struct RestreamResult {
   std::vector<BlockId> assignment;
+  /// Edge-cut after each pass (a mapping cost is the caller's to evaluate
+  /// against its topology; the cut trace is topology-independent).
   std::vector<Cost> cut_per_pass;
   double elapsed_s = 0.0;
 };
 
-/// Run \p passes streaming passes of \p assigner over \p graph (sequential;
-/// restreaming is defined on a fixed stream order). Records the edge-cut
-/// after every pass.
-[[nodiscard]] RestreamResult restream(const CsrGraph& graph,
-                                      RestreamableAssigner& assigner, int passes);
-
-/// Wraps a flat one-pass assigner that has unassign(u, weight) with the
-/// restreaming hooks: ReFennel and ReLDG (Nishimura & Ugander).
+/// Run \p passes streaming passes of a freshly constructed \p assigner over
+/// \p graph (sequential; restreaming is defined on a fixed stream order) and
+/// record the edge-cut after every pass. The result stays balanced because
+/// every re-placement goes through the same capacity checks as the first
+/// pass.
 template <typename Assigner>
-class Restreamable final : public RestreamableAssigner {
-public:
-  template <typename... Args>
-  explicit Restreamable(Args&&... args) : inner_(std::forward<Args>(args)...) {}
+[[nodiscard]] RestreamResult restream(const CsrGraph& graph, Assigner& assigner,
+                                      int passes) {
+  OMS_ASSERT(passes >= 1);
+  assigner.prepare(1);
 
-  void prepare(int num_threads) override { inner_.prepare(num_threads); }
-  BlockId assign(const StreamedNode& node, int thread_id,
-                 WorkCounters& counters) override {
-    return inner_.assign(node, thread_id, counters);
+  RestreamResult result;
+  Timer timer;
+  WorkCounters counters;
+  std::vector<BlockId> snapshot(graph.num_nodes());
+  for (int pass = 0; pass < passes; ++pass) {
+    for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+      if (pass > 0) {
+        assigner.unassign(u, graph.node_weight(u));
+      }
+      const StreamedNode node{u, graph.node_weight(u), graph.neighbors(u),
+                              graph.incident_weights(u)};
+      assigner.assign(node, 0, counters);
+    }
+    // Objective trace: read the live assignment without consuming it.
+    for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+      snapshot[u] = assigner.block_of(u);
+    }
+    result.cut_per_pass.push_back(edge_cut(graph, snapshot));
   }
-  [[nodiscard]] BlockId block_of(NodeId u) const override { return inner_.block_of(u); }
-  [[nodiscard]] BlockId num_blocks() const override { return inner_.num_blocks(); }
-  [[nodiscard]] std::vector<BlockId> take_assignment() override {
-    return inner_.take_assignment();
-  }
-  void unassign_node(NodeId u, NodeWeight weight) override {
-    inner_.unassign(u, weight);
-  }
-  [[nodiscard]] bool save_stream_state(CheckpointWriter& w) const override {
-    return inner_.save_stream_state(w);
-  }
-  [[nodiscard]] bool load_stream_state(CheckpointReader& r) override {
-    return inner_.load_stream_state(r);
-  }
-  void stamp_checkpoint(CheckpointMeta& meta) const override {
-    inner_.stamp_checkpoint(meta);
-  }
-
-private:
-  Assigner inner_;
-};
-
-using ReFennelPartitioner = Restreamable<FennelPartitioner>;
-using ReLdgPartitioner = Restreamable<LdgPartitioner>;
+  result.elapsed_s = timer.elapsed_s();
+  result.assignment = assigner.take_assignment();
+  return result;
+}
 
 } // namespace oms

@@ -69,11 +69,19 @@ void MetisNodeStream::read_header() {
 void MetisNodeStream::parse_data_line(std::string_view line, NodeWeight& weight,
                                       std::vector<NodeId>& neighbors,
                                       std::vector<EdgeWeight>& edge_weights) {
-  weight = 1;
   IntScanner tokens(line);
   const auto bad_token = [this] { fail("malformed integer token"); };
   std::int64_t value = 0;
-  if (header_.has_node_weights && tokens.next(value, bad_token)) {
+  // Weight bounds are the ones GraphBuilder asserts: edge weights >= 1,
+  // node weights >= 0. Each check sits inside its format branch, so
+  // unit-weight files pay nothing for them.
+  if (header_.has_node_weights) {
+    if (!tokens.next(value, bad_token)) {
+      fail("missing node weight");
+    }
+    if (value < 0) {
+      fail("node weight " + std::to_string(value) + " is negative");
+    }
     weight = value;
   }
   while (tokens.next(value, bad_token)) {
@@ -88,6 +96,9 @@ void MetisNodeStream::parse_data_line(std::string_view line, NodeWeight& weight,
       if (!tokens.next(wt, bad_token)) {
         fail("missing edge weight");
       }
+      if (wt < 1) {
+        fail("edge weight " + std::to_string(wt) + " is not positive");
+      }
       w = wt;
     }
     edge_weights.push_back(w);
@@ -99,19 +110,20 @@ bool MetisNodeStream::parse_next(NodeWeight& weight, std::vector<NodeId>& neighb
   if (next_id_ >= header_.num_nodes) {
     return false;
   }
-  // Comment lines are skipped; an empty line — or a missing trailing line —
-  // is an isolated node.
+  // Comment lines are skipped; an empty line is an isolated node, and so is
+  // a missing trailing line (with unit weight, even in a node-weighted file).
   std::string_view line;
-  while (reader_.next_line(line)) {
-    if (line.empty() || line.front() != '%') {
-      break;
-    }
-    line = std::string_view();
+  bool have_line = false;
+  while (!have_line && reader_.next_line(line)) {
+    have_line = line.empty() || line.front() != '%';
   }
   const std::size_t neighbors_mark = neighbors.size();
   const std::size_t weights_mark = edge_weights.size();
+  weight = 1;
   try {
-    parse_data_line(line, weight, neighbors, edge_weights);
+    if (have_line) {
+      parse_data_line(line, weight, neighbors, edge_weights);
+    }
   } catch (const ContentError& error) {
     if (error_policy_.action != StreamErrorPolicy::Action::kSkip) {
       throw;

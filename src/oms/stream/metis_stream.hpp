@@ -9,9 +9,11 @@
 ///
 /// The reader pulls raw chunks into one reusable buffer and parses integers
 /// in place with std::from_chars — no per-line getline, no per-line string
-/// copies. Malformed *content* (bad header, out-of-range neighbor, missing
-/// edge weight, non-numeric token) raises oms::IoError with the file
-/// position, so CLIs fail cleanly instead of aborting.
+/// copies. It is the library's only METIS parser: read_metis (graph/io.hpp)
+/// drains it into a GraphBuilder. Malformed *content* (bad header,
+/// out-of-range neighbor, missing node or edge weight, an edge weight below
+/// 1, a negative node weight, non-numeric token) raises oms::ContentError
+/// with the file position, so CLIs fail cleanly instead of aborting.
 #pragma once
 
 #include <string>

@@ -74,6 +74,33 @@ check_clean_error "in-memory neighbor out of range" 1 \
 check_clean_error "in-memory malformed header" 1 \
   "$tool" "$tmpdir/badheader.graph" --k 2
 
+# Edge weights below 1 are malformed on every route: exit 1 naming the file
+# and line, never SIGABRT in memory and never a silent partition from disk.
+check_position_error() {
+  local name="$1"
+  local file="$2"
+  local line="$3"
+  shift 3
+  local out
+  out="$("$tool" "$file" --k 2 "$@" 2>&1)"
+  local code=$?
+  if [ "$code" -eq 1 ] && printf '%s' "$out" | grep -qF "error: $file:$line:"; then
+    echo "ok   [$name]"
+  else
+    echo "FAIL [$name]: exit $code, expected 1 with 'error: $file:$line:'"
+    echo "$out" | sed 's/^/    /'
+    failures=$((failures + 1))
+  fi
+}
+printf '2 1 1\n2 -3\n1 -3\n' > "$tmpdir/negweight.graph"
+printf '3 2 1\n2 1\n1 1 3 0\n2 0\n' > "$tmpdir/zeroweight.graph"
+check_position_error "in-memory negative edge weight" "$tmpdir/negweight.graph" 2
+check_position_error "from-disk negative edge weight" "$tmpdir/negweight.graph" 2 \
+  --from-disk
+check_position_error "in-memory zero edge weight" "$tmpdir/zeroweight.graph" 3
+check_position_error "from-disk zero edge weight" "$tmpdir/zeroweight.graph" 3 \
+  --from-disk
+
 # --- Disk-native buffered and window models ---------------------------------
 
 # Both stream from disk now: well-formed controls must succeed, sequential

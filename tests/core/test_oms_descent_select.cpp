@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "oms/core/remapping.hpp"
 #include "oms/graph/graph_builder.hpp"
+#include "oms/partition/restream.hpp"
 #include "oms/stream/checkpoint.hpp"
 #include "oms/util/random.hpp"
 #include "tests/test_support.hpp"
@@ -262,7 +262,7 @@ TEST(OmsDescentSelect, RestreamUnassignMatchesDenseScan) {
   int fallbacks = 0;
   for_each_case(300, /*full=*/false, [&](const CsrGraph& g, const Shape& shape, const OmsConfig& config) {
     auto oms = make_oms(g, shape, config);
-    ASSERT_EQ(remap_multisection(g, *oms, 3).assignment,
+    ASSERT_EQ(restream(g, *oms, 3).assignment,
               dense_descent(g, oms->tree(), config, 3, fallbacks));
   });
 }
@@ -327,7 +327,8 @@ TEST(OmsDescentSelect, AssignAfterOfflineMultipassSeesExactTrees) {
 }
 
 TEST(OmsDescentSelect, NegativeEdgeWeightsFallBackToTheScan) {
-  // The disk stream accepts negative edge weights. Sixteen isolated nodes
+  // The METIS reader rejects edge weights below 1, but a library caller can
+  // still hand the assigner such a StreamedNode. Sixteen isolated nodes
   // fill the sixteen children evenly, so child 0 is the lightest; node 16
   // is repelled from it (attraction -5). A zero-attraction sibling must win,
   // as in the scan, although no attracted child but child 0 exists.

@@ -4,13 +4,13 @@
 
 #include <cstdio>
 #include <fstream>
-#include <iterator>
+#include <string>
 #include <vector>
 
 #include "oms/graph/generators.hpp"
 #include "oms/graph/graph_builder.hpp"
+#include "oms/stream/metis_stream.hpp"
 #include "oms/util/io_error.hpp"
-#include "tests/test_support.hpp"
 
 namespace oms {
 namespace {
@@ -98,6 +98,16 @@ TEST_F(IoTest, MetisIsolatedTrailingNodes) {
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(g.degree(2), 0u);
   EXPECT_EQ(g.degree(3), 0u);
+  // In a node-weighted file too: a missing line is not a line missing its
+  // weight, so the node gets unit weight.
+  {
+    std::ofstream out(path);
+    out << "4 1 10\n3 2\n5 1\n";
+  }
+  const CsrGraph weighted = read_metis(path);
+  EXPECT_EQ(weighted.node_weight(1), 5);
+  EXPECT_EQ(weighted.node_weight(2), 1);
+  EXPECT_EQ(weighted.node_weight(3), 1);
   std::remove(path.c_str());
 }
 
@@ -134,20 +144,9 @@ TEST_F(IoTest, MetisHeaderMismatchThrows) {
   std::remove(path.c_str());
 }
 
-TEST_F(IoTest, MetisMalformedHeaderThrows) {
-  const std::string path = temp_path("badheadertok.graph");
-  // Includes the multi-constraint forms (fmt hundreds digit, ncon != 1) and
-  // trailing junk — the same contract the streaming reader enforces, so one
-  // file cannot parse cleanly on one path and corrupt on the other.
-  for (const char* header : {"abc def\n", "5\n", "5 x\n", "-3 1\n", "4 2 110\n",
-                             "4 2 10 2\n", "4 2 11 3\n", "5 2 0 1 9\n"}) {
-    {
-      std::ofstream out(path);
-      out << header;
-    }
-    EXPECT_THROW((void)read_metis(path), IoError) << header;
-  }
+TEST_F(IoTest, MetisAcceptsConstraintCountOne) {
   // ncon == 1 stays accepted (it's the only workable value).
+  const std::string path = temp_path("ncon1.graph");
   {
     std::ofstream out(path);
     out << "3 2 10 1\n1 2\n2 1 3\n3 2\n";
@@ -158,175 +157,94 @@ TEST_F(IoTest, MetisMalformedHeaderThrows) {
   std::remove(path.c_str());
 }
 
-TEST_F(IoTest, MetisNeighborOutOfRangeThrowsWithPosition) {
-  const std::string path = temp_path("range.graph");
-  {
-    std::ofstream out(path);
-    out << "% comment\n2 1\n2\n9\n"; // node 2 references neighbor 9 > n
-  }
-  try {
-    (void)read_metis(path);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(path), std::string::npos) << what;
-    EXPECT_NE(what.find(":4:"), std::string::npos) << what;
-    EXPECT_NE(what.find("out of range"), std::string::npos) << what;
-  }
-  std::remove(path.c_str());
-}
+/// One malformed METIS file: its content, the line the error must name and a
+/// fragment of the reason.
+struct MalformedMetis {
+  const char* content;
+  int line;
+  const char* reason;
+};
 
-TEST_F(IoTest, MetisMissingEdgeWeightThrows) {
-  const std::string path = temp_path("noweight.graph");
-  {
-    std::ofstream out(path);
-    out << "2 1 1\n2 5\n1\n"; // fmt=1 but node 2's weight is absent
-  }
-  EXPECT_THROW((void)read_metis(path), IoError);
-  std::remove(path.c_str());
-}
+// The in-memory reader and the disk stream share one parser, so every file
+// here must fail on both routes at the same position. Header cases include
+// the multi-constraint forms (fmt hundreds digit, ncon != 1) and trailing
+// junk; data-line cases include the weight rule (edge weights >= 1, node
+// weights >= 0, a node-weighted line must carry its weight).
+constexpr MalformedMetis kMalformedMetis[] = {
+    {"", 0, "missing METIS header"},
+    {"abc def\n", 1, "malformed METIS header"},
+    {"5\n", 1, "malformed METIS header"},
+    {"5 x\n", 1, "malformed METIS header"},
+    {"-3 1\n", 1, "negative sizes"},
+    {"4 2 110\n", 1, "multi-constraint"},
+    {"4 2 10 2\n", 1, "multi-constraint"},
+    {"4 2 11 3\n", 1, "multi-constraint"},
+    {"5 2 0 1 9\n", 1, "trailing tokens"},
+    {"% comment\n2 1\n2\n9\n", 4, "out of range"},
+    {"2 1\n2\nfoo\n", 3, "malformed integer token"},
+    {"2 1 1\n2 5\n1\n", 3, "missing edge weight"},
+    {"2 1 1\n2 0\n1 0\n", 2, "edge weight 0 is not positive"},
+    {"2 1 1\n2 -3\n1 -3\n", 2, "edge weight -3 is not positive"},
+    {"2 1 11\n1 2 4\n1 1 -4\n", 3, "edge weight -4 is not positive"},
+    {"2 1 10\n-1 2\n1 1\n", 2, "node weight -1 is negative"},
+    {"2 1 10\n1 2\n\n", 3, "missing node weight"},
+};
 
-TEST_F(IoTest, MetisNonNumericTokenThrows) {
-  const std::string path = temp_path("garbage.graph");
-  {
-    std::ofstream out(path);
-    out << "2 1\n2\nfoo\n";
-  }
-  EXPECT_THROW((void)read_metis(path), IoError);
-  std::remove(path.c_str());
-}
-
-TEST_F(IoTest, BinaryRoundTrip) {
-  const CsrGraph original = gen::barabasi_albert(500, 3, 4);
-  const std::string path = temp_path("bin.graph");
-  write_binary(original, path);
-  const CsrGraph loaded = read_binary(path);
-  expect_graphs_equal(original, loaded);
-  std::remove(path.c_str());
-}
-
-TEST_F(IoTest, BinaryRejectsBadMagic) {
-  const std::string path = temp_path("badmagic.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    const std::uint64_t junk = 0xDEAD;
-    out.write(reinterpret_cast<const char*>(&junk), sizeof junk);
-    out.write(reinterpret_cast<const char*>(&junk), sizeof junk);
-    out.write(reinterpret_cast<const char*>(&junk), sizeof junk);
-  }
-  EXPECT_THROW((void)read_binary(path), IoError);
-  std::remove(path.c_str());
-}
-
-TEST_F(IoTest, BinaryTruncatedFileThrows) {
-  const CsrGraph original = gen::barabasi_albert(200, 3, 4);
-  const std::string full = temp_path("full.bin");
-  write_binary(original, full);
-  std::ifstream in(full, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
-  // Cut at several depths: inside the header, inside xadj, inside the last
-  // payload array. Every cut must raise IoError, never abort or misread.
-  const std::string path = temp_path("truncated.bin");
-  for (const std::size_t keep :
-       {std::size_t{4}, std::size_t{20}, bytes.size() / 2, bytes.size() - 1}) {
+TEST_F(IoTest, MalformedMetisThrowsWithPositionOnBothRoutes) {
+  const std::string path = temp_path("malformed.graph");
+  for (const MalformedMetis& bad : kMalformedMetis) {
+    SCOPED_TRACE(std::string("file: ") + bad.content);
     {
-      std::ofstream out(path, std::ios::binary);
-      out.write(bytes.data(), static_cast<std::streamsize>(keep));
+      std::ofstream out(path);
+      out << bad.content;
     }
-    EXPECT_THROW((void)read_binary(path), IoError) << "keep=" << keep;
+    const std::string position =
+        bad.line == 0 ? path + ":" : path + ":" + std::to_string(bad.line) + ":";
+    const auto expect_error = [&](const auto& read) {
+      try {
+        read();
+        ADD_FAILURE() << "expected IoError";
+      } catch (const IoError& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind(position, 0), 0u) << what;
+        EXPECT_NE(what.find(bad.reason), std::string::npos) << what;
+      }
+    };
+    expect_error([&] { (void)read_metis(path); });
+    expect_error([&] {
+      MetisNodeStream stream(path);
+      StreamedNode node{};
+      while (stream.next(node)) {
+      }
+    });
   }
-  std::remove(full.c_str());
   std::remove(path.c_str());
 }
 
-TEST_F(IoTest, BinaryImplausibleHeaderSizesThrow) {
-  // A header advertising astronomically many arcs must be rejected before
-  // any allocation happens (IoError, not bad_alloc).
-  const std::string path = temp_path("implausible.bin");
+TEST_F(IoTest, SkipPolicyTurnsBadWeightLinesIntoIsolatedNodes) {
+  // --on-error skip covers the weight rule on the disk route: the line keeps
+  // its id slot as an isolated unit-weight node.
+  const std::string path = temp_path("skipweight.graph");
   {
-    std::ofstream out(path, std::ios::binary);
-    const std::uint64_t magic = 0x4f4d5347'52415032ULL; // current v2 magic
-    const std::uint64_t n = 4;
-    const std::uint64_t arcs = std::uint64_t{1} << 60;
-    out.write(reinterpret_cast<const char*>(&magic), sizeof magic);
-    out.write(reinterpret_cast<const char*>(&n), sizeof n);
-    out.write(reinterpret_cast<const char*>(&arcs), sizeof arcs);
+    std::ofstream out(path);
+    out << "3 1 11\n5 2 0\n7 1 0\n-2\n";
   }
-  EXPECT_THROW((void)read_binary(path), IoError);
-  std::remove(path.c_str());
-}
-
-TEST_F(IoTest, BinaryRejectsUnchecksummedV1Files) {
-  // A v1-era cache (valid layout, old magic, no CRC) must be refused with a
-  // clear "regenerate" error, never silently parsed without validation.
-  const std::string path = temp_path("v1.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    const std::uint64_t magic = 0x4f4d5347'52415031ULL; // "OMSGRAP1"
-    const std::uint64_t n = 1;
-    const std::uint64_t arcs = 0;
-    const EdgeIndex xadj[2] = {0, 0};
-    const NodeWeight vwgt[1] = {1};
-    out.write(reinterpret_cast<const char*>(&magic), sizeof magic);
-    out.write(reinterpret_cast<const char*>(&n), sizeof n);
-    out.write(reinterpret_cast<const char*>(&arcs), sizeof arcs);
-    out.write(reinterpret_cast<const char*>(xadj), sizeof xadj);
-    out.write(reinterpret_cast<const char*>(vwgt), sizeof vwgt);
+  MetisNodeStream stream(path);
+  stream.set_error_policy({StreamErrorPolicy::Action::kSkip, 10});
+  std::vector<NodeWeight> weights;
+  StreamedNode node{};
+  while (stream.next(node)) {
+    EXPECT_TRUE(node.neighbors.empty()) << node.id;
+    weights.push_back(node.weight);
   }
-  try {
-    (void)read_binary(path);
-    FAIL() << "v1 file accepted";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("v1"), std::string::npos) << e.what();
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(IoTest, BinarySingleFlippedByteThrows) {
-  // Flip one byte at a time across the whole file (header, every payload
-  // array, the checksum itself): the CRC must catch each flip. This is the
-  // defect class the strict length check alone cannot see.
-  const CsrGraph original = gen::barabasi_albert(60, 2, 4);
-  const std::string full = temp_path("crc_full.bin");
-  write_binary(original, full);
-  std::ifstream in(full, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
-  const std::string path = temp_path("crc_flip.bin");
-  // Every 37th byte keeps the sweep fast while still hitting each section.
-  for (std::size_t at = 0; at < bytes.size(); at += 37) {
-    std::vector<char> corrupt = bytes;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x40);
-    {
-      std::ofstream out(path, std::ios::binary);
-      out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
-    }
-    EXPECT_THROW((void)read_binary(path), IoError) << "flipped byte " << at;
-  }
-  std::remove(full.c_str());
-  std::remove(path.c_str());
-}
-
-TEST_F(IoTest, BinaryTrailingGarbageThrows) {
-  // Appended bytes (concatenated caches, partial overwrite of a longer file)
-  // fail the strict length check even though the checksummed prefix is fine.
-  const CsrGraph original = gen::barabasi_albert(60, 2, 4);
-  const std::string path = temp_path("trailing.bin");
-  write_binary(original, path);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "junk";
-  }
-  EXPECT_THROW((void)read_binary(path), IoError);
+  EXPECT_EQ(weights, (std::vector<NodeWeight>{1, 1, 1}));
+  EXPECT_EQ(stream.error_stats().lines_skipped, 3u);
+  EXPECT_EQ(stream.error_stats().first_line, 2u);
   std::remove(path.c_str());
 }
 
 TEST_F(IoTest, MissingFileThrows) {
   EXPECT_THROW((void)read_metis("/nonexistent/surely/missing.graph"), IoError);
-  EXPECT_THROW((void)read_binary("/nonexistent/surely/missing.bin"), IoError);
 }
 
 } // namespace

@@ -1,5 +1,5 @@
 /// Property suite: every generator family round-trips losslessly through
-/// both serialization formats, and the disk stream delivers exactly the
+/// the METIS format, and the disk stream delivers exactly the
 /// in-memory adjacency — the contract the disk-streaming experiments rely on.
 #include <gtest/gtest.h>
 
@@ -32,32 +32,27 @@ CsrGraph make_family_instance(int family) {
 
 class IoRoundTrip : public ::testing::TestWithParam<int> {};
 
-TEST_P(IoRoundTrip, MetisAndBinaryPreserveEverything) {
+TEST_P(IoRoundTrip, MetisPreservesEverything) {
   SCOPED_TRACE("OMS_TEST_SEED=" + std::to_string(oms::testing::test_seed()));
   const CsrGraph original = make_family_instance(GetParam());
   const std::string base = ::testing::TempDir() + "/oms_rt_" +
                            std::to_string(GetParam());
 
   write_metis(original, base + ".graph");
-  const CsrGraph via_metis = read_metis(base + ".graph");
-  write_binary(original, base + ".bin");
-  const CsrGraph via_binary = read_binary(base + ".bin");
-
-  for (const CsrGraph* loaded : {&via_metis, &via_binary}) {
-    ASSERT_EQ(loaded->num_nodes(), original.num_nodes());
-    ASSERT_EQ(loaded->num_edges(), original.num_edges());
-    EXPECT_EQ(loaded->total_edge_weight(), original.total_edge_weight());
-    EXPECT_EQ(loaded->total_node_weight(), original.total_node_weight());
-    for (NodeId u = 0; u < original.num_nodes(); ++u) {
-      ASSERT_EQ(loaded->degree(u), original.degree(u)) << u;
-      const auto expect = original.neighbors(u);
-      const auto actual = loaded->neighbors(u);
-      for (std::size_t i = 0; i < expect.size(); ++i) {
-        ASSERT_EQ(actual[i], expect[i]);
-      }
+  const CsrGraph loaded = read_metis(base + ".graph");
+  ASSERT_EQ(loaded.num_nodes(), original.num_nodes());
+  ASSERT_EQ(loaded.num_edges(), original.num_edges());
+  EXPECT_EQ(loaded.total_edge_weight(), original.total_edge_weight());
+  EXPECT_EQ(loaded.total_node_weight(), original.total_node_weight());
+  for (NodeId u = 0; u < original.num_nodes(); ++u) {
+    ASSERT_EQ(loaded.degree(u), original.degree(u)) << u;
+    const auto expect = original.neighbors(u);
+    const auto actual = loaded.neighbors(u);
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      ASSERT_EQ(actual[i], expect[i]);
     }
-    loaded->validate();
   }
+  loaded.validate();
 
   // The node stream must deliver the same adjacency, node by node.
   MetisNodeStream stream(base + ".graph");
@@ -71,7 +66,6 @@ TEST_P(IoRoundTrip, MetisAndBinaryPreserveEverything) {
   }
 
   std::remove((base + ".graph").c_str());
-  std::remove((base + ".bin").c_str());
 }
 
 std::string family_name(const ::testing::TestParamInfo<int>& param_info) {

@@ -202,14 +202,20 @@ std::vector<BlockId> dense_reference(const CsrGraph& g, const PartitionConfig& p
   return assignment;
 }
 
-std::unique_ptr<RestreamableAssigner> make_assigner(const CsrGraph& g,
-                                                    const PartitionConfig& pc,
-                                                    Scorer scorer) {
+/// Calls \p body with a factory of fresh assigners of \p scorer's type.
+template <typename Body>
+void with_assigner(const CsrGraph& g, const PartitionConfig& pc, Scorer scorer,
+                   const Body& body) {
   if (scorer == Scorer::kFennel) {
-    return std::make_unique<ReFennelPartitioner>(g.num_nodes(), g.num_edges(),
+    body([&] {
+      return std::make_unique<FennelPartitioner>(g.num_nodes(), g.num_edges(),
                                                  g.total_node_weight(), pc);
+    });
+  } else {
+    body([&] {
+      return std::make_unique<LdgPartitioner>(g.num_nodes(), g.total_node_weight(), pc);
+    });
   }
-  return std::make_unique<ReLdgPartitioner>(g.num_nodes(), g.total_node_weight(), pc);
 }
 
 void check_node_scorer(Scorer scorer) {
@@ -231,15 +237,17 @@ void check_node_scorer(Scorer scorer) {
 
         // One pass through the streaming driver, then a 3-pass restream
         // (unassign decrements the tree) against the dense reference.
-        auto one = make_assigner(g, pc, scorer);
-        const StreamResult r = run_one_pass(g, *one, 1);
-        ASSERT_EQ(r.assignment, dense_reference(g, pc, scorer, 1, fallbacks));
-        EXPECT_LE(r.work.candidate_evaluations,
-                  static_cast<std::uint64_t>(g.num_nodes()) + g.num_arcs());
+        with_assigner(g, pc, scorer, [&](const auto& make) {
+          auto one = make();
+          const StreamResult r = run_one_pass(g, *one, 1);
+          ASSERT_EQ(r.assignment, dense_reference(g, pc, scorer, 1, fallbacks));
+          EXPECT_LE(r.work.candidate_evaluations,
+                    static_cast<std::uint64_t>(g.num_nodes()) + g.num_arcs());
 
-        auto re = make_assigner(g, pc, scorer);
-        ASSERT_EQ(restream(g, *re, 3).assignment,
-                  dense_reference(g, pc, scorer, 3, fallbacks));
+          auto re = make();
+          ASSERT_EQ(restream(g, *re, 3).assignment,
+                    dense_reference(g, pc, scorer, 3, fallbacks));
+        });
       }
     }
   }
@@ -260,20 +268,22 @@ TEST(BlockSelect, ConcurrentPrepareKeepsTheDenseScan) {
   PartitionConfig pc;
   pc.k = 65;
   for (const Scorer scorer : {Scorer::kFennel, Scorer::kLdg}) {
-    auto tree = make_assigner(g, pc, scorer);
-    auto dense = make_assigner(g, pc, scorer);
-    tree->prepare(1);
-    dense->prepare(2);
-    WorkCounters tree_work;
-    WorkCounters dense_work;
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      const StreamedNode node{u, g.node_weight(u), g.neighbors(u), g.incident_weights(u)};
-      ASSERT_EQ(tree->assign(node, 0, tree_work), dense->assign(node, 0, dense_work));
-    }
-    EXPECT_EQ(tree_work.score_evaluations, dense_work.score_evaluations);
-    EXPECT_EQ(dense_work.candidate_evaluations,
-              static_cast<std::uint64_t>(g.num_nodes()) * 65U);
-    EXPECT_LT(tree_work.candidate_evaluations, dense_work.candidate_evaluations);
+    with_assigner(g, pc, scorer, [&](const auto& make) {
+      auto tree = make();
+      auto dense = make();
+      tree->prepare(1);
+      dense->prepare(2);
+      WorkCounters tree_work;
+      WorkCounters dense_work;
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        const StreamedNode node{u, g.node_weight(u), g.neighbors(u), g.incident_weights(u)};
+        ASSERT_EQ(tree->assign(node, 0, tree_work), dense->assign(node, 0, dense_work));
+      }
+      EXPECT_EQ(tree_work.score_evaluations, dense_work.score_evaluations);
+      EXPECT_EQ(dense_work.candidate_evaluations,
+                static_cast<std::uint64_t>(g.num_nodes()) * 65U);
+      EXPECT_LT(tree_work.candidate_evaluations, dense_work.candidate_evaluations);
+    });
   }
 }
 

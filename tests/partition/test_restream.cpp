@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
+#include <string>
 
+#include "oms/core/online_multisection.hpp"
 #include "oms/graph/generators.hpp"
+#include "oms/mapping/mapping_cost.hpp"
+#include "oms/partition/fennel.hpp"
+#include "oms/partition/ldg.hpp"
 #include "oms/partition/metrics.hpp"
 #include "oms/stream/checkpoint.hpp"
+#include "oms/stream/one_pass_driver.hpp"
 #include "tests/test_support.hpp"
 
 namespace oms {
@@ -20,49 +25,110 @@ PartitionConfig config_for(BlockId k) {
   return pc;
 }
 
-TEST(ReFennel, RecordsOneCutPerPass) {
-  const CsrGraph g = gen::random_geometric(1000, 3);
-  ReFennelPartitioner p(g.num_nodes(), g.num_edges(), g.total_node_weight(),
-                        config_for(8));
-  const RestreamResult r = restream(g, p, 4);
-  EXPECT_EQ(r.cut_per_pass.size(), 4u);
-  verify_partition(g, r.assignment, 8);
+// Assigner factories: each returns a callable building a fresh assigner for
+// a graph, so one test body runs ReFennel, ReLDG and OMS remapping alike.
+
+auto fennel(BlockId k) {
+  return [k](const CsrGraph& g) {
+    return std::make_unique<FennelPartitioner>(g.num_nodes(), g.num_edges(),
+                                               g.total_node_weight(), config_for(k));
+  };
 }
 
-TEST(ReFennel, RestreamingDoesNotWorsenTheCut) {
-  // On locality-friendly graphs additional passes refine the first pass.
-  const CsrGraph g = gen::grid_2d(40, 40);
-  ReFennelPartitioner p(g.num_nodes(), g.num_edges(), g.total_node_weight(),
-                        config_for(4));
-  const RestreamResult r = restream(g, p, 5);
-  EXPECT_LE(r.cut_per_pass.back(), r.cut_per_pass.front());
+auto ldg(BlockId k) {
+  return [k](const CsrGraph& g) {
+    return std::make_unique<LdgPartitioner>(g.num_nodes(), g.total_node_weight(),
+                                            config_for(k));
+  };
 }
 
-TEST(ReFennel, FinalAssignmentMatchesLastPassCut) {
-  const CsrGraph g = gen::barabasi_albert(800, 3, 9);
-  ReFennelPartitioner p(g.num_nodes(), g.num_edges(), g.total_node_weight(),
-                        config_for(6));
-  const RestreamResult r = restream(g, p, 3);
+auto oms(const std::string& hierarchy, const std::string& distances) {
+  return [=](const CsrGraph& g) {
+    return std::make_unique<OnlineMultisection>(
+        g.num_nodes(), g.num_edges(), g.total_node_weight(),
+        SystemHierarchy::parse(hierarchy, distances), OmsConfig{});
+  };
+}
+
+/// nh-OMS: the artificial hierarchy over k flat blocks.
+auto nh_oms(BlockId k) {
+  return [k](const CsrGraph& g) {
+    return std::make_unique<OnlineMultisection>(g.num_nodes(), g.num_edges(),
+                                                g.total_node_weight(), k, OmsConfig{});
+  };
+}
+
+template <typename Make>
+void expect_one_cut_per_pass(const CsrGraph& g, const Make& make, int passes) {
+  auto assigner = make(g);
+  const BlockId k = assigner->num_blocks();
+  const RestreamResult r = restream(g, *assigner, passes);
+  EXPECT_EQ(r.cut_per_pass.size(), static_cast<std::size_t>(passes));
+  verify_partition(g, r.assignment, k);
   EXPECT_EQ(edge_cut(g, r.assignment), r.cut_per_pass.back());
 }
 
-TEST(ReFennel, StaysBalancedAcrossPasses) {
-  const CsrGraph g = gen::random_geometric(2000, 13);
-  ReFennelPartitioner p(g.num_nodes(), g.num_edges(), g.total_node_weight(),
-                        config_for(16));
-  const RestreamResult r = restream(g, p, 3);
-  EXPECT_TRUE(is_balanced(g, r.assignment, 16, 0.03));
+TEST(Restream, RecordsOneCutPerPassEndingAtTheResult) {
+  expect_one_cut_per_pass(gen::random_geometric(1000, 3), fennel(8), 4);
+  expect_one_cut_per_pass(gen::barabasi_albert(800, 3, 9), fennel(6), 3);
+  expect_one_cut_per_pass(gen::random_geometric(1000, 5), ldg(8), 3);
+  expect_one_cut_per_pass(gen::random_geometric(1500, 3), oms("4:4", "1:10"), 4);
 }
 
-TEST(ReFennel, OnePassEqualsPlainFennel) {
-  const CsrGraph g = gen::rmat(10, 4, 2);
-  ReFennelPartitioner re(g.num_nodes(), g.num_edges(), g.total_node_weight(),
-                         config_for(8));
-  const RestreamResult r = restream(g, re, 1);
-  FennelPartitioner plain(g.num_nodes(), g.num_edges(), g.total_node_weight(),
-                          config_for(8));
-  const StreamResult s = run_one_pass(g, plain, 1);
-  EXPECT_EQ(r.assignment, s.assignment);
+TEST(Restream, LaterPassesRefineTheCutOnLocalityFriendlyGraphs) {
+  const CsrGraph g = gen::grid_2d(40, 40);
+  auto re_fennel = fennel(4)(g);
+  const RestreamResult flat = restream(g, *re_fennel, 5);
+  EXPECT_LE(flat.cut_per_pass.back(), flat.cut_per_pass.front());
+  auto remap = oms("4:4", "1:10")(g);
+  const RestreamResult mapped = restream(g, *remap, 5);
+  EXPECT_LT(mapped.cut_per_pass.back(), mapped.cut_per_pass.front());
+}
+
+TEST(Restream, RemappingImprovesTheMappingObjective) {
+  const CsrGraph g = gen::random_geometric(3000, 11);
+  const SystemHierarchy topo = SystemHierarchy::parse("4:4:2", "1:10:100");
+  const auto make = oms("4:4:2", "1:10:100");
+  auto one_pass = make(g);
+  auto restreamed = make(g);
+  EXPECT_LT(mapping_cost(g, topo, restream(g, *restreamed, 4).assignment),
+            mapping_cost(g, topo, restream(g, *one_pass, 1).assignment));
+}
+
+TEST(Restream, StaysBalancedAcrossPasses) {
+  const CsrGraph rgg = gen::random_geometric(2000, 13);
+  auto re_fennel = fennel(16)(rgg);
+  EXPECT_TRUE(is_balanced(rgg, restream(rgg, *re_fennel, 3).assignment, 16, 0.03));
+  const CsrGraph ba = gen::barabasi_albert(2500, 4, 7);
+  auto remap = oms("4:16:1", "1:10:100")(ba);
+  EXPECT_TRUE(is_balanced(ba, restream(ba, *remap, 3).assignment, 64,
+                          OmsConfig{}.epsilon));
+}
+
+template <typename Make>
+void expect_one_pass_equals_plain_streaming(const CsrGraph& g, const Make& make) {
+  auto re = make(g);
+  auto plain = make(g);
+  EXPECT_EQ(restream(g, *re, 1).assignment, run_one_pass(g, *plain, 1).assignment);
+}
+
+TEST(Restream, OnePassEqualsPlainStreaming) {
+  expect_one_pass_equals_plain_streaming(gen::rmat(10, 4, 2), fennel(8));
+  expect_one_pass_equals_plain_streaming(gen::rmat(10, 4, 5), nh_oms(24));
+}
+
+TEST(Restream, OmsTreeWeightsStayConsistent) {
+  // After any number of unassign/assign cycles, the weight of the top layer
+  // must equal the total node weight exactly.
+  const CsrGraph g = gen::random_geometric(1200, 17);
+  auto remap = oms("2:2:2", "1:2:4")(g);
+  (void)restream(g, *remap, 3);
+  NodeWeight top = 0;
+  for (std::int32_t c = 0; c < remap->tree().root().num_children; ++c) {
+    top += remap->tree_block_weight(
+        static_cast<std::size_t>(remap->tree().root().first_child + c));
+  }
+  EXPECT_EQ(top, g.total_node_weight());
 }
 
 // Restream goldens, recorded from the dense-scan implementation: a stale
@@ -70,25 +136,23 @@ TEST(ReFennel, OnePassEqualsPlainFennel) {
 // while "cut does not worsen" could still pass by luck.
 TEST(ReFennel, ThreePassGolden) {
   const CsrGraph g = gen::barabasi_albert(3000, 4, 21);
-  ReFennelPartitioner p(g.num_nodes(), g.num_edges(), g.total_node_weight(),
-                        config_for(64));
-  EXPECT_EQ(testing::fnv1a(restream(g, p, 3).assignment), 0x7b015b1eac70c35fULL);
+  auto p = fennel(64)(g);
+  EXPECT_EQ(testing::fnv1a(restream(g, *p, 3).assignment), 0x7b015b1eac70c35fULL);
 }
 
 TEST(ReLdg, ThreePassGolden) {
   const CsrGraph g = gen::random_geometric(3000, 17);
-  ReLdgPartitioner p(g.num_nodes(), g.total_node_weight(), config_for(48));
-  EXPECT_EQ(testing::fnv1a(restream(g, p, 3).assignment), 0xa8c2cb0a9962fefaULL);
+  auto p = ldg(48)(g);
+  EXPECT_EQ(testing::fnv1a(restream(g, *p, 3).assignment), 0xa8c2cb0a9962fefaULL);
 }
-
-using AssignerFactory = std::function<std::unique_ptr<RestreamableAssigner>()>;
 
 /// Restream \p passes passes, but snapshot the assigner after \p stop_at
 /// node steps (counted across passes), continue in a fresh instance restored
 /// from that snapshot, and return the final assignment.
-std::vector<BlockId> restream_resumed_at(const CsrGraph& g, const AssignerFactory& make,
+template <typename Make>
+std::vector<BlockId> restream_resumed_at(const CsrGraph& g, const Make& make,
                                          int passes, std::uint64_t stop_at) {
-  std::unique_ptr<RestreamableAssigner> a = make();
+  auto a = make(g);
   a->prepare(1);
   WorkCounters counters;
   std::uint64_t step = 0;
@@ -97,14 +161,14 @@ std::vector<BlockId> restream_resumed_at(const CsrGraph& g, const AssignerFactor
       if (step == stop_at) {
         CheckpointWriter w;
         EXPECT_TRUE(a->save_stream_state(w));
-        a = make();
+        a = make(g);
         a->prepare(1);
         CheckpointReader r(w.bytes());
         EXPECT_TRUE(a->load_stream_state(r));
         r.expect_end();
       }
       if (pass > 0) {
-        a->unassign_node(u, g.node_weight(u));
+        a->unassign(u, g.node_weight(u));
       }
       const StreamedNode node{u, g.node_weight(u), g.neighbors(u),
                               g.incident_weights(u)};
@@ -114,8 +178,9 @@ std::vector<BlockId> restream_resumed_at(const CsrGraph& g, const AssignerFactor
   return a->take_assignment();
 }
 
-void expect_resume_is_bit_identical(const CsrGraph& g, const AssignerFactory& make) {
-  auto uninterrupted = make();
+template <typename Make>
+void expect_resume_is_bit_identical(const CsrGraph& g, const Make& make) {
+  auto uninterrupted = make(g);
   const std::vector<BlockId> expected = restream(g, *uninterrupted, 3).assignment;
   const std::uint64_t n = g.num_nodes();
   for (const std::uint64_t stop : {n / 3, n, n + n / 2, 2 * n + 7}) {
@@ -123,20 +188,11 @@ void expect_resume_is_bit_identical(const CsrGraph& g, const AssignerFactory& ma
   }
 }
 
-TEST(ReFennel, ResumeMidRestreamIsBitIdentical) {
-  const CsrGraph g = gen::barabasi_albert(1500, 4, 8);
-  expect_resume_is_bit_identical(g, [&] {
-    return std::make_unique<ReFennelPartitioner>(g.num_nodes(), g.num_edges(),
-                                                 g.total_node_weight(), config_for(40));
-  });
-}
-
-TEST(ReLdg, ResumeMidRestreamIsBitIdentical) {
-  const CsrGraph g = gen::random_geometric(1500, 9);
-  expect_resume_is_bit_identical(g, [&] {
-    return std::make_unique<ReLdgPartitioner>(g.num_nodes(), g.total_node_weight(),
-                                              config_for(40));
-  });
+TEST(Restream, ResumeMidRestreamIsBitIdentical) {
+  expect_resume_is_bit_identical(gen::barabasi_albert(1500, 4, 8), fennel(40));
+  expect_resume_is_bit_identical(gen::random_geometric(1500, 9), ldg(40));
+  expect_resume_is_bit_identical(gen::random_geometric(1500, 9),
+                                 oms("4:16:2", "1:10:100"));
 }
 
 } // namespace

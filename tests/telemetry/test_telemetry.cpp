@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "oms/api/partitioner.hpp"
@@ -256,7 +260,18 @@ TEST_F(MetricsTest, MetricNamesAreUniqueAndStable) {
 
 /// Each disk route (METIS one-pass, buffered, edge list; with and without
 /// the reader thread) emits parse and assign spans and counts the streamed
-/// items exactly once. In-memory buffered publishes its node count too.
+/// items exactly once. In-memory runs publish their node count too. Every
+/// route, the in-memory ones included, reads its file through the one
+/// buffered reader, so each reports the file's bytes and lines.
+/// Bytes and newline-terminated lines of a file.
+std::pair<std::uint64_t, std::uint64_t> size_of(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  return {bytes.size(), static_cast<std::uint64_t>(
+                            std::count(bytes.begin(), bytes.end(), '\n'))};
+}
+
 TEST(RouteTelemetry, EveryRouteEmitsSpansAndCountsItemsOnce) {
   const CsrGraph graph = gen::barabasi_albert(3000, 3, 5);
   const std::string metis = ::testing::TempDir() + "/oms_route_telemetry.graph";
@@ -274,7 +289,7 @@ TEST(RouteTelemetry, EveryRouteEmitsSpansAndCountsItemsOnce) {
       {&metis, "fennel", true, false},   {&metis, "fennel", true, true},
       {&metis, "buffered", true, false}, {&metis, "buffered", true, true},
       {&edges, "hdrf", true, false},     {&edges, "hdrf", true, true},
-      {&metis, "buffered", false, false},
+      {&metis, "buffered", false, false}, {&metis, "fennel", false, false},
   };
   for (const Route& route : routes) {
     PartitionRequest req;
@@ -296,6 +311,9 @@ TEST(RouteTelemetry, EveryRouteEmitsSpansAndCountsItemsOnce) {
     const std::uint64_t edges = edge_route ? graph.num_edges() : 0;
     EXPECT_EQ(snap.counter(Counter::kStreamNodes), nodes) << label;
     EXPECT_EQ(snap.counter(Counter::kStreamEdges), edges) << label;
+    const auto [bytes, lines] = size_of(*route.path);
+    EXPECT_EQ(snap.counter(Counter::kStreamBytesRead), bytes) << label;
+    EXPECT_EQ(snap.counter(Counter::kStreamLinesParsed), lines) << label;
     if (route.from_disk) {
       EXPECT_GT(snap.histogram(Hist::kStageParse).count, 0u) << label;
       EXPECT_GT(snap.histogram(Hist::kStageAssign).count, 0u) << label;

@@ -4,8 +4,10 @@
 # a byte-identical partition, for the one-pass and buffered paths, with and
 # without the --pipeline reader thread. Then a
 # sweep of seeded fault schedules (OMS_FAULT_SEED) over the plain drivers
-# checks the chaos contract end to end: exit 0 with baseline-identical
-# output, or exit 1 with a clean "error:" message — never anything else.
+# and the in-memory route (whose read_metis goes through the same reader and
+# fault sites) checks the chaos contract end to end: exit 0 with
+# baseline-identical output, or exit 1 with a clean "error:" message — never
+# anything else.
 # Usage: checkpoint_smoke.sh <path-to-partition_tool>
 set -u
 
@@ -100,6 +102,7 @@ chaos_sweep() {
   echo "ok   [$name chaos sweep]"
 }
 
+chaos_sweep inmem
 chaos_sweep seq --from-disk
 chaos_sweep pipelined --pipeline
 chaos_sweep buffered --algo buffered --from-disk --buffer-size 512
