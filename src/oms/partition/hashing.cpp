@@ -25,12 +25,12 @@ BlockId HashingPartitioner::assign(const StreamedNode& node, int /*thread_id*/,
       splitmix64(static_cast<std::uint64_t>(node.id) ^ config_.seed) % k);
   // Balance fallback: probe forward until a block has room. With eps > 0 the
   // total capacity strictly exceeds c(V), so a block with room always exists.
+  // try_add keeps the check exact when several threads probe the same block.
   for (BlockId probes = 0; probes < config_.k; ++probes) {
     const auto b = static_cast<std::size_t>((block + probes) % config_.k);
     counters.score_evaluations += 1;
     counters.candidate_evaluations += 1;
-    if (weights.load(b) + node.weight <= max_block_weight_) {
-      weights.add(b, node.weight);
+    if (weights.try_add(b, node.weight, max_block_weight_)) {
       assignment_[node.id] = static_cast<BlockId>(b);
       counters.layers_traversed += 1;
       return static_cast<BlockId>(b);

@@ -57,6 +57,22 @@ public:
     void add(std::size_t block, NodeWeight delta) const noexcept {
       base_[block << shift_of(L)].fetch_add(delta, std::memory_order_relaxed);
     }
+    /// Add delta only if the block stays <= cap, also under concurrent
+    /// callers: reserve with fetch_add, give it back if that overshot. For
+    /// the Hashing probe, whose whole point is to never exceed Lmax; the
+    /// score-based assigners keep the paper's unchecked add().
+    [[nodiscard]] bool try_add(std::size_t block, NodeWeight delta,
+                               NodeWeight cap) const noexcept {
+      auto& slot = base_[block << shift_of(L)];
+      if (slot.load(std::memory_order_relaxed) + delta > cap) {
+        return false;
+      }
+      if (slot.fetch_add(delta, std::memory_order_relaxed) + delta > cap) {
+        slot.fetch_sub(delta, std::memory_order_relaxed);
+        return false;
+      }
+      return true;
+    }
 
   private:
     std::atomic<NodeWeight>* base_;

@@ -7,7 +7,6 @@
 
 #include "oms/core/online_multisection.hpp"
 #include "oms/graph/generators.hpp"
-#include "oms/mapping/mapping_cost.hpp"
 #include "oms/partition/fennel.hpp"
 #include "oms/partition/ldg.hpp"
 #include "oms/partition/metrics.hpp"
@@ -26,7 +25,8 @@ PartitionConfig config_for(BlockId k) {
 }
 
 // Assigner factories: each returns a callable building a fresh assigner for
-// a graph, so one test body runs ReFennel, ReLDG and OMS remapping alike.
+// a graph, so one test body runs ReFennel, ReLDG and OMS remapping alike
+// (test_remapping covers the OMS-only properties).
 
 auto fennel(BlockId k) {
   return [k](const CsrGraph& g) {
@@ -50,14 +50,6 @@ auto oms(const std::string& hierarchy, const std::string& distances) {
   };
 }
 
-/// nh-OMS: the artificial hierarchy over k flat blocks.
-auto nh_oms(BlockId k) {
-  return [k](const CsrGraph& g) {
-    return std::make_unique<OnlineMultisection>(g.num_nodes(), g.num_edges(),
-                                                g.total_node_weight(), k, OmsConfig{});
-  };
-}
-
 template <typename Make>
 void expect_one_cut_per_pass(const CsrGraph& g, const Make& make, int passes) {
   auto assigner = make(g);
@@ -72,7 +64,6 @@ TEST(Restream, RecordsOneCutPerPassEndingAtTheResult) {
   expect_one_cut_per_pass(gen::random_geometric(1000, 3), fennel(8), 4);
   expect_one_cut_per_pass(gen::barabasi_albert(800, 3, 9), fennel(6), 3);
   expect_one_cut_per_pass(gen::random_geometric(1000, 5), ldg(8), 3);
-  expect_one_cut_per_pass(gen::random_geometric(1500, 3), oms("4:4", "1:10"), 4);
 }
 
 TEST(Restream, LaterPassesRefineTheCutOnLocalityFriendlyGraphs) {
@@ -80,29 +71,12 @@ TEST(Restream, LaterPassesRefineTheCutOnLocalityFriendlyGraphs) {
   auto re_fennel = fennel(4)(g);
   const RestreamResult flat = restream(g, *re_fennel, 5);
   EXPECT_LE(flat.cut_per_pass.back(), flat.cut_per_pass.front());
-  auto remap = oms("4:4", "1:10")(g);
-  const RestreamResult mapped = restream(g, *remap, 5);
-  EXPECT_LT(mapped.cut_per_pass.back(), mapped.cut_per_pass.front());
-}
-
-TEST(Restream, RemappingImprovesTheMappingObjective) {
-  const CsrGraph g = gen::random_geometric(3000, 11);
-  const SystemHierarchy topo = SystemHierarchy::parse("4:4:2", "1:10:100");
-  const auto make = oms("4:4:2", "1:10:100");
-  auto one_pass = make(g);
-  auto restreamed = make(g);
-  EXPECT_LT(mapping_cost(g, topo, restream(g, *restreamed, 4).assignment),
-            mapping_cost(g, topo, restream(g, *one_pass, 1).assignment));
 }
 
 TEST(Restream, StaysBalancedAcrossPasses) {
   const CsrGraph rgg = gen::random_geometric(2000, 13);
   auto re_fennel = fennel(16)(rgg);
   EXPECT_TRUE(is_balanced(rgg, restream(rgg, *re_fennel, 3).assignment, 16, 0.03));
-  const CsrGraph ba = gen::barabasi_albert(2500, 4, 7);
-  auto remap = oms("4:16:1", "1:10:100")(ba);
-  EXPECT_TRUE(is_balanced(ba, restream(ba, *remap, 3).assignment, 64,
-                          OmsConfig{}.epsilon));
 }
 
 template <typename Make>
@@ -114,21 +88,7 @@ void expect_one_pass_equals_plain_streaming(const CsrGraph& g, const Make& make)
 
 TEST(Restream, OnePassEqualsPlainStreaming) {
   expect_one_pass_equals_plain_streaming(gen::rmat(10, 4, 2), fennel(8));
-  expect_one_pass_equals_plain_streaming(gen::rmat(10, 4, 5), nh_oms(24));
-}
-
-TEST(Restream, OmsTreeWeightsStayConsistent) {
-  // After any number of unassign/assign cycles, the weight of the top layer
-  // must equal the total node weight exactly.
-  const CsrGraph g = gen::random_geometric(1200, 17);
-  auto remap = oms("2:2:2", "1:2:4")(g);
-  (void)restream(g, *remap, 3);
-  NodeWeight top = 0;
-  for (std::int32_t c = 0; c < remap->tree().root().num_children; ++c) {
-    top += remap->tree_block_weight(
-        static_cast<std::size_t>(remap->tree().root().first_child + c));
-  }
-  EXPECT_EQ(top, g.total_node_weight());
+  expect_one_pass_equals_plain_streaming(gen::rmat(10, 4, 3), ldg(8));
 }
 
 // Restream goldens, recorded from the dense-scan implementation: a stale
