@@ -1,9 +1,9 @@
 /// \file partition_request.hpp
 /// \brief The one request struct behind every partitioning entry point.
 ///
-/// Below it the library has the in-memory drivers and one disk driver,
-/// run_stream(source, consumer, policy) (stream/pipeline.hpp), each taking
-/// its own algorithm config. PartitionRequest unifies PartitionConfig,
+/// Below it the library has one stream driver, run_stream(source, consumer,
+/// policy) (stream/pipeline.hpp), over files and in-memory graphs alike,
+/// and each consumer takes its own algorithm config. PartitionRequest unifies PartitionConfig,
 /// BufferedConfig, WindowConfig, EdgePartConfig and the checkpoint/pipeline/
 /// error-policy options into a single description of "partition this input
 /// like so"; oms::Partitioner (api/partitioner.hpp) turns it into a

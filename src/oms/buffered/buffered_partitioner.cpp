@@ -6,10 +6,10 @@
 #include "oms/mapping/hierarchy.hpp"
 #include "oms/multilevel/buffer_multilevel.hpp"
 #include "oms/stream/checkpoint.hpp"
+#include "oms/stream/pipeline.hpp"
 #include "oms/telemetry/metrics.hpp"
 #include "oms/util/assert.hpp"
 #include "oms/util/io_error.hpp"
-#include "oms/util/timer.hpp"
 
 namespace oms {
 
@@ -81,13 +81,13 @@ BlockId BufferedPartitioner::lightest_block() const {
   return best;
 }
 
-template <bool kUnit, typename LocalBlock, typename NodeAt>
+template <bool kUnit, typename LocalBlock>
 void BufferedPartitioner::build_and_place(std::vector<LocalBlock>& local,
-                                          NodeId first_id, std::uint32_t count,
-                                          std::size_t arc_bound, NodeAt&& node_at) {
-  begin_ = first_id;
-  size_ = count;
+                                          const NodeBatch& batch) {
+  begin_ = batch.first_id();
+  size_ = static_cast<std::uint32_t>(batch.size());
   const NodeId end = begin_ + size_;
+  const std::size_t arc_bound = batch.num_arcs();
 
   // Cursor-written arenas sized once by the arc bound: the hot walk below
   // never pays push_back bookkeeping, and raw pointers keep the compiler
@@ -119,7 +119,7 @@ void BufferedPartitioner::build_and_place(std::vector<LocalBlock>& local,
   super_offset[0] = 0;
 
   for (std::uint32_t i = 0; i < size_; ++i) {
-    const StreamedNode node = node_at(i);
+    const StreamedNode node = batch.node(i);
     node_weight_[i] = node.weight;
 
     // Phase 1 of the fused walk: committed neighbors (earlier buffers) fold
@@ -453,13 +453,12 @@ void BufferedPartitioner::refine_multilevel(std::vector<LocalBlock>& local) {
   }
 }
 
-template <bool kUnit, typename LocalBlock, typename NodeAt>
+template <bool kUnit, typename LocalBlock>
 void BufferedPartitioner::run_buffer(std::vector<LocalBlock>& local,
-                                     NodeId first_id, std::uint32_t count,
-                                     std::size_t arc_bound, NodeAt&& node_at) {
+                                     const NodeBatch& batch) {
   {
     const telemetry::TraceSpan span(telemetry::Hist::kStageBufferBuild);
-    build_and_place<kUnit>(local, first_id, count, arc_bound, node_at);
+    build_and_place<kUnit>(local, batch);
   }
   // The cheap active-set refine always runs: its result is the multilevel
   // engine's incoming candidate (and never-worse fallback), anchoring the
@@ -483,26 +482,6 @@ void BufferedPartitioner::run_buffer(std::vector<LocalBlock>& local,
   telemetry::metric_add(telemetry::Counter::kBufferedBuffers);
 }
 
-template <typename NodeAt>
-void BufferedPartitioner::dispatch_buffer(bool unit_weights, NodeId first_id,
-                                          std::uint32_t count,
-                                          std::size_t arc_bound, NodeAt&& node_at) {
-  // Blocks are committed (never invalid) by the time anything reads a local
-  // slot, so 16 bits suffice whenever k fits them. Unit edge weights (the
-  // common streaming case) drop the weight arrays from every hot loop.
-  const bool small_k = static_cast<std::uint64_t>(k_) <=
-                       std::numeric_limits<std::uint16_t>::max() + std::uint64_t{1};
-  if (small_k && unit_weights) {
-    run_buffer<true>(local16_, first_id, count, arc_bound, node_at);
-  } else if (small_k) {
-    run_buffer<false>(local16_, first_id, count, arc_bound, node_at);
-  } else if (unit_weights) {
-    run_buffer<true>(local32_, first_id, count, arc_bound, node_at);
-  } else {
-    run_buffer<false>(local32_, first_id, count, arc_bound, node_at);
-  }
-}
-
 void BufferedPartitioner::process_buffer(const NodeBatch& batch) {
   if (batch.empty()) {
     return;
@@ -512,32 +491,20 @@ void BufferedPartitioner::process_buffer(const NodeBatch& batch) {
   const std::span<const EdgeWeight> weights = batch.all_edge_weights();
   const bool unit = std::all_of(weights.begin(), weights.end(),
                                 [](EdgeWeight w) { return w == 1; });
-  dispatch_buffer(unit, batch.first_id(), static_cast<std::uint32_t>(batch.size()),
-                  batch.num_arcs(),
-                  [&](std::uint32_t i) { return batch.node(i); });
-}
-
-void BufferedPartitioner::process_graph_range(const CsrGraph& graph, NodeId begin,
-                                              NodeId end) {
-  if (begin >= end) {
-    return;
+  // Blocks are committed (never invalid) by the time anything reads a local
+  // slot, so 16 bits suffice whenever k fits them. Unit edge weights (the
+  // common streaming case) drop the weight arrays from every hot loop.
+  const bool small_k = static_cast<std::uint64_t>(k_) <=
+                       std::numeric_limits<std::uint16_t>::max() + std::uint64_t{1};
+  if (small_k && unit) {
+    run_buffer<true>(local16_, batch);
+  } else if (small_k) {
+    run_buffer<false>(local16_, batch);
+  } else if (unit) {
+    run_buffer<true>(local32_, batch);
+  } else {
+    run_buffer<false>(local32_, batch);
   }
-  OMS_ASSERT_MSG(end <= assignment_.size(),
-                 "range extends past the announced node count");
-  // Identical arcs in, identical partition out: the graph spans carry the
-  // same values a NodeBatch parsed from the file would (parity-pinned).
-  const std::span<const EdgeWeight> adjwgt = graph.raw_adjwgt();
-  const auto arcs_begin = static_cast<std::size_t>(graph.raw_xadj()[begin]);
-  const auto arcs_end = static_cast<std::size_t>(graph.raw_xadj()[end]);
-  const bool unit =
-      std::all_of(adjwgt.begin() + arcs_begin, adjwgt.begin() + arcs_end,
-                  [](EdgeWeight w) { return w == 1; });
-  dispatch_buffer(unit, begin, end - begin, arcs_end - arcs_begin,
-                  [&](std::uint32_t i) {
-    const NodeId u = begin + i;
-    return StreamedNode{u, graph.node_weight(u), graph.neighbors(u),
-                        graph.incident_weights(u)};
-  });
 }
 
 std::vector<BlockId> BufferedPartitioner::take_assignment() {
@@ -592,22 +559,10 @@ BufferedResult buffered_partition(const CsrGraph& graph, BlockId k,
                                   const BufferedConfig& config) {
   OMS_ASSERT(k >= 1);
   OMS_ASSERT(config.buffer_size >= 1);
-
-  Timer timer;
   BufferedPartitioner core(graph.num_nodes(), graph.total_node_weight(), k, config);
-  for (NodeId begin = 0; begin < graph.num_nodes(); begin += config.buffer_size) {
-    const NodeId end = std::min<NodeId>(begin + config.buffer_size, graph.num_nodes());
-    core.process_graph_range(graph, begin, end);
-  }
-
-  // One end-of-run publish, as run_one_pass does: --metrics-out and
-  // --progress see the streamed node count on the in-memory route too.
-  telemetry::metric_add(telemetry::Counter::kStreamNodes, graph.num_nodes());
-  BufferedResult result;
-  result.buffers_processed = core.buffers_processed();
-  result.assignment = core.take_assignment();
-  result.elapsed_s = timer.elapsed_s();
-  return result;
+  PipelineConfig policy;
+  policy.ring_batches = 0;
+  return run_stream(graph, core, policy);
 }
 
 } // namespace oms

@@ -13,15 +13,15 @@
 /// strictly one-pass algorithms at higher (but k-independent) cost per node.
 ///
 /// The core is a true streaming algorithm: BufferedPartitioner consumes
-/// NodeBatch chunks (the pipelined disk reader's handoff unit) in stream
-/// order and holds O(buffer + k) state beyond the assignment vector. Each
-/// batch is materialized once into a reusable buffer-local model — a
+/// NodeBatch chunks (run_stream's handoff unit) in stream order and holds
+/// O(buffer + k) state beyond the assignment vector. Each batch is
+/// materialized once into a reusable buffer-local model — a
 /// contiguous intra-buffer CSR plus per-node super-edges aggregated by block
 /// at build time — so the optimization loops never re-walk a raw
 /// neighborhood. Refinement is an active-set sweep: only nodes whose
 /// neighborhood changed are revisited, and it is deterministic (no RNG).
-/// The in-memory buffered_partition() entry point and the disk stream
-/// (run_stream, stream/pipeline.hpp) both run this core on identical
+/// The in-memory buffered_partition() entry point and the disk stream are
+/// both run_stream (stream/pipeline.hpp) over this core, fed identical
 /// batches, so their partitions coincide bit for bit on the same node order.
 #pragma once
 
@@ -108,16 +108,13 @@ public:
   ~BufferedPartitioner(); // out of line: BufferMultilevel is incomplete here
 
   /// Jointly place and refine one buffer of nodes, then commit it. The batch
-  /// must start at the next unseen node id; adjacency may reference any node
-  /// (earlier = super-edges, in-buffer = model edges, future = ignored).
+  /// (parsed from a file or borrowed from an in-memory graph) must start at
+  /// the next unseen node id; adjacency may reference any node (earlier =
+  /// super-edges, in-buffer = model edges, future = ignored).
   void process_buffer(const NodeBatch& batch);
 
-  /// Same, fed directly from an in-memory graph's adjacency spans (the
-  /// buffered_partition() entry point) — identical arcs, identical result.
-  void process_graph_range(const CsrGraph& graph, NodeId begin, NodeId end);
-
   [[nodiscard]] BlockId num_blocks() const noexcept { return k_; }
-  /// Nodes per buffer (config.buffer_size): the batch size a disk stream
+  /// Nodes per buffer (config.buffer_size): the batch size every source
   /// must deliver, since buffer boundaries shape the decisions.
   [[nodiscard]] NodeId buffer_size() const noexcept { return buffer_size_; }
   [[nodiscard]] std::size_t buffers_processed() const noexcept {
@@ -149,10 +146,8 @@ private:
   /// adjacency is never revisited. LocalBlock is the compact in-buffer
   /// block-id type (uint16 whenever k fits, else uint32) so the refinement
   /// loop's random reads stay L1-resident.
-  template <bool kUnit, typename LocalBlock, typename NodeAt>
-  void build_and_place(std::vector<LocalBlock>& local, NodeId first_id,
-                       std::uint32_t count, std::size_t arc_bound,
-                       NodeAt&& node_at);
+  template <bool kUnit, typename LocalBlock>
+  void build_and_place(std::vector<LocalBlock>& local, const NodeBatch& batch);
 
   /// Connection weight of local node \p i to every block it touches, from
   /// the model (super-edges + assigned in-buffer neighbors). Results are in
@@ -176,15 +171,8 @@ private:
 
   /// build_and_place + refine + one sequential flush of the buffer's blocks
   /// into the O(n) assignment.
-  template <bool kUnit, typename LocalBlock, typename NodeAt>
-  void run_buffer(std::vector<LocalBlock>& local, NodeId first_id,
-                  std::uint32_t count, std::size_t arc_bound, NodeAt&& node_at);
-
-  /// Pick the narrowest local block representation for this k and the
-  /// weight specialization for this buffer.
-  template <typename NodeAt>
-  void dispatch_buffer(bool unit_weights, NodeId first_id, std::uint32_t count,
-                       std::size_t arc_bound, NodeAt&& node_at);
+  template <bool kUnit, typename LocalBlock>
+  void run_buffer(std::vector<LocalBlock>& local, const NodeBatch& batch);
 
   [[nodiscard]] BlockId lightest_block() const;
   void set_block_weight(BlockId b, NodeWeight w);
@@ -230,9 +218,10 @@ private:
 };
 
 /// Partition \p graph into \p k balanced blocks by streaming it buffer by
-/// buffer in node-id order. The returned partition satisfies the epsilon
-/// balance constraint and is identical to the disk-native driver's output on
-/// the same stream.
+/// buffer in node-id order (run_stream over the graph, no reader thread).
+/// The returned partition satisfies the epsilon balance constraint and is
+/// identical to the disk stream's output on the same node order; unlike the
+/// disk stream it accepts node weights.
 [[nodiscard]] BufferedResult buffered_partition(const CsrGraph& graph, BlockId k,
                                                 const BufferedConfig& config);
 

@@ -4,8 +4,8 @@
 ///        multi-section "on the fly", in a single pass.
 ///
 /// The assigner implements the generic one-pass interface, so the same
-/// drivers (sequential, OpenMP-parallel, disk-streaming) used by the
-/// baselines run it unchanged.
+/// stream loop (run_stream, in memory or from disk, sequential or with
+/// concurrent consumer threads) used by the baselines runs it unchanged.
 ///
 /// Two modes:
 ///  * OMS   — a SystemHierarchy is given; the leaf order equals the PE

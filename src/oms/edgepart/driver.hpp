@@ -1,7 +1,7 @@
 /// \file driver.hpp
 /// \brief Results of the edge-streaming passes and the in-memory edge
-///        driver. Edge-list files stream through run_stream
-///        (stream/pipeline.hpp), sequentially or with the reader thread.
+///        entry point. Edge-list files and in-memory edge sequences both
+///        stream through run_stream (stream/pipeline.hpp).
 ///
 /// Vertex-cut assigners are order-dependent sequential algorithms (partial
 /// degrees, min/max load tracking), so an edge stream always runs one
@@ -36,8 +36,8 @@ struct EdgePartitionResult {
 };
 
 /// In-memory pass over an already-materialized edge sequence (tests,
-/// benchmarks, restreaming experiments). Self-loops are skipped like the
-/// file reader does.
+/// benchmarks, restreaming experiments): run_stream over \p edges without a
+/// reader thread. Self-loops are skipped like the file reader does.
 [[nodiscard]] EdgePartitionResult run_edge_partition(
     std::span<const StreamedEdge> edges, StreamingEdgePartitioner& partitioner);
 

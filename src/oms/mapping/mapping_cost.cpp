@@ -1,6 +1,9 @@
 #include "oms/mapping/mapping_cost.hpp"
 
-#include <omp.h>
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "oms/util/assert.hpp"
 #include "oms/util/parallel.hpp"
@@ -10,32 +13,33 @@ namespace oms {
 Cost mapping_cost(const CsrGraph& graph, const SystemHierarchy& topology,
                   std::span<const BlockId> mapping, int num_threads) {
   OMS_ASSERT(mapping.size() == graph.num_nodes());
-#if defined(OMS_TSAN_ACTIVE)
-  // Read-only fan-out: under TSan the OMP fork/join would false-positive
-  // (see parallel.hpp), so evaluate sequentially.
-  (void)num_threads;
-  const int threads = 1;
-#else
-  const int threads = resolve_threads(num_threads);
-#endif
-  const auto n = static_cast<std::int64_t>(graph.num_nodes());
-  Cost total = 0;
-
-#pragma omp parallel for schedule(static) num_threads(threads) reduction(+ : total)
-  for (std::int64_t ui = 0; ui < n; ++ui) {
-    const auto u = static_cast<NodeId>(ui);
-    const auto neigh = graph.neighbors(u);
-    const auto weights = graph.incident_weights(u);
-    const BlockId pu = mapping[u];
+  const std::size_t n = graph.num_nodes();
+  const std::size_t threads =
+      std::min<std::size_t>(resolve_threads(num_threads), std::max<std::size_t>(n, 1));
+  // Read-only fan-out: thread t sums its contiguous node range locally and
+  // adds it to the total once.
+  std::atomic<Cost> total{0};
+  const auto sum_range = [&](std::size_t t) {
     Cost local = 0;
-    for (std::size_t i = 0; i < neigh.size(); ++i) {
-      local += weights[i] * topology.distance(pu, mapping[neigh[i]]);
+    for (auto u = static_cast<NodeId>(n * t / threads); u < n * (t + 1) / threads; ++u) {
+      const auto neigh = graph.neighbors(u);
+      const auto weights = graph.incident_weights(u);
+      const BlockId pu = mapping[u];
+      for (std::size_t i = 0; i < neigh.size(); ++i) {
+        local += weights[i] * topology.distance(pu, mapping[neigh[i]]);
+      }
     }
-    total += local;
+    total.fetch_add(local, std::memory_order_relaxed);
+  };
+  std::vector<std::jthread> workers;
+  for (std::size_t t = 1; t < threads; ++t) {
+    workers.emplace_back(sum_range, t);
   }
+  sum_range(0);
+  workers.clear(); // joins
   // Each undirected edge was visited from both endpoints — exactly the
   // ordered-pair sum of the objective definition.
-  return total;
+  return total.load(std::memory_order_relaxed);
 }
 
 void verify_mapping(const CsrGraph& graph, const SystemHierarchy& topology,

@@ -17,7 +17,8 @@
 namespace oms {
 
 /// Full objective: sum over ordered communicating pairs (u, v) of
-/// C_uv * D_{Pi(u),Pi(v)}. Parallelized over nodes (read-only reduction).
+/// C_uv * D_{Pi(u),Pi(v)}. Parallelized over contiguous node ranges (read-only
+/// reduction on \p num_threads std::threads; 0 = all hardware threads).
 [[nodiscard]] Cost mapping_cost(const CsrGraph& communication_graph,
                                 const SystemHierarchy& topology,
                                 std::span<const BlockId> mapping,

@@ -12,6 +12,7 @@
 /// producer/consumer pipeline drives it unchanged.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,22 +32,36 @@ struct StreamedEdge {
   EdgeWeight weight = 1;
 };
 
-/// A contiguous run of parsed edges — the edge-stream analogue of NodeBatch,
-/// recycled forever by the pipeline so a warm run never allocates.
+/// A contiguous run of edges — the edge-stream analogue of NodeBatch:
+/// either parsed into storage the pipeline recycles forever (so a warm run
+/// never allocates), or a borrowed run of an in-memory edge sequence.
 class EdgeBatch {
 public:
-  void reset() noexcept { edges_.clear(); }
-  void push(const StreamedEdge& edge) { edges_.push_back(edge); }
+  EdgeBatch() = default;
+  EdgeBatch(const EdgeBatch&) = delete; // the view may point into *this
+  EdgeBatch& operator=(const EdgeBatch&) = delete;
 
-  [[nodiscard]] std::size_t size() const noexcept { return edges_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return edges_.empty(); }
+  void reset() noexcept {
+    edges_.clear();
+    view_ = edges_;
+  }
+  void push(const StreamedEdge& edge) {
+    edges_.push_back(edge);
+    view_ = edges_;
+  }
+  /// Read \p run in place (nothing is copied) until the next reset().
+  void borrow(std::span<const StreamedEdge> run) noexcept { view_ = run; }
+
+  [[nodiscard]] std::size_t size() const noexcept { return view_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return view_.empty(); }
   [[nodiscard]] const StreamedEdge& edge(std::size_t i) const noexcept {
-    OMS_HEAVY_ASSERT(i < edges_.size());
-    return edges_[i];
+    OMS_HEAVY_ASSERT(i < view_.size());
+    return view_[i];
   }
 
 private:
-  std::vector<StreamedEdge> edges_;
+  std::span<const StreamedEdge> view_; ///< what consumers read
+  std::vector<StreamedEdge> edges_;    ///< owned storage, filled by a parser
 };
 
 /// Sequentially parses a SNAP-style edge-list file, exposing one edge at a

@@ -161,8 +161,11 @@ std::size_t MetisNodeStream::fill_batch(NodeBatch& batch, std::size_t max_nodes,
                                         std::size_t max_arcs) {
   batch.reset(next_id_);
   NodeWeight weight = 1;
-  while (batch.size() < max_nodes &&
-         (max_arcs == 0 || batch.num_arcs() < max_arcs)) {
+  // The arc cap bounds batch growth by adjacency entries, not just node
+  // count, so hub nodes don't balloon memory.
+  for (std::size_t nodes = 0;
+       nodes < max_nodes && (max_arcs == 0 || batch.neighbor_sink().size() < max_arcs);
+       ++nodes) {
     if (!parse_next(weight, batch.neighbor_sink(), batch.edge_weight_sink())) {
       break;
     }

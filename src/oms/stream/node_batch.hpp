@@ -1,13 +1,13 @@
 /// \file node_batch.hpp
-/// \brief A contiguous run of parsed stream nodes, stored flat so one batch
-///        is one allocation set that the pipeline recycles forever.
+/// \brief A contiguous run of stream nodes: parsed into flat storage the
+///        pipeline recycles forever, or borrowed from an in-memory graph.
 ///
-/// The disk reader hands these across the producer/consumer boundary (or,
-/// on the sequential route, straight to the consumer) instead of single
-/// StreamedNodes: batching amortizes the queue
-/// synchronization over thousands of nodes and keeps the adjacency data of a
-/// work unit cache-resident for the assigning thread. Node ids inside a
-/// batch are consecutive (stream order), so only the first id is stored.
+/// Every run_stream source hands these across the producer/consumer
+/// boundary (or, on the sequential route, straight to the consumer) instead
+/// of single StreamedNodes: batching amortizes the queue synchronization
+/// over thousands of nodes and keeps the adjacency data of a work unit
+/// cache-resident for the assigning thread. Node ids inside a batch are
+/// consecutive (stream order), so only the first id is stored.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "oms/graph/csr_graph.hpp"
 #include "oms/stream/streamed_node.hpp"
 #include "oms/types.hpp"
 #include "oms/util/assert.hpp"
@@ -23,18 +24,24 @@ namespace oms {
 
 class NodeBatch {
 public:
-  /// Reset to empty, keeping capacity. \p first_id is the stream id of the
-  /// first node that will be appended.
+  NodeBatch() { view_owned(); }
+  NodeBatch(const NodeBatch&) = delete; // the views may point into *this
+  NodeBatch& operator=(const NodeBatch&) = delete;
+
+  /// Reset to an empty owned batch, keeping capacity. \p first_id is the
+  /// stream id of the first node that will be appended.
   void reset(NodeId first_id) {
     first_id_ = first_id;
     weights_.clear();
     offsets_.assign(1, 0);
     neighbors_.clear();
     edge_weights_.clear();
+    view_owned();
   }
 
   /// The parser appends one node's adjacency directly into these sinks (no
-  /// intermediate copy), then seals the slot with commit_node().
+  /// intermediate copy), then seals the slot with commit_node(). Appended
+  /// nodes become readable at set_end().
   std::vector<NodeId>& neighbor_sink() noexcept { return neighbors_; }
   std::vector<EdgeWeight>& edge_weight_sink() noexcept { return edge_weights_; }
   void commit_node(NodeWeight weight) {
@@ -42,48 +49,78 @@ public:
     offsets_.push_back(neighbors_.size());
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return weights_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return weights_.empty(); }
+  /// Read nodes [begin, end) of \p graph in place (nothing is copied) until
+  /// the next reset() or borrow().
+  void borrow(const CsrGraph& graph, NodeId begin, NodeId end) noexcept {
+    OMS_HEAVY_ASSERT(begin <= end && end <= graph.num_nodes());
+    first_id_ = begin;
+    size_ = end - begin;
+    offsets_view_ = graph.raw_xadj().data() + begin;
+    weights_view_ = graph.raw_vwgt().data() + begin;
+    neighbors_view_ = graph.raw_adjncy().data();
+    edge_weights_view_ = graph.raw_adjwgt().data();
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] NodeId first_id() const noexcept { return first_id_; }
 
-  /// Input position just past the batch's last node (byte offset and line
-  /// number), recorded by the reader: a checkpoint taken after this batch
-  /// resumes the stream here.
+  /// Close an owned batch: record the input position just past its last
+  /// node (byte offset and line number; a checkpoint taken after this batch
+  /// resumes the stream there) and make the appended nodes readable.
   void set_end(std::uint64_t offset, std::uint64_t line_no) noexcept {
     end_offset_ = offset;
     end_line_no_ = line_no;
+    view_owned();
   }
   [[nodiscard]] std::uint64_t end_offset() const noexcept { return end_offset_; }
   [[nodiscard]] std::uint64_t end_line_no() const noexcept { return end_line_no_; }
 
-  /// Total adjacency entries buffered (used by the reader to bound batch
-  /// growth by arcs, not just node count, so hub nodes don't balloon memory).
-  [[nodiscard]] std::size_t num_arcs() const noexcept { return neighbors_.size(); }
+  /// Total adjacency entries in the batch.
+  [[nodiscard]] std::size_t num_arcs() const noexcept {
+    return static_cast<std::size_t>(offsets_view_[size_] - offsets_view_[0]);
+  }
 
   /// Every buffered edge weight in one contiguous span (consumers use it to
   /// detect the all-unit-weights fast path in a single linear scan).
   [[nodiscard]] std::span<const EdgeWeight> all_edge_weights() const noexcept {
-    return edge_weights_;
+    return {edge_weights_view_ + offsets_view_[0], num_arcs()};
   }
 
-  /// The i-th node as the streaming-model unit. Spans borrow the batch and
-  /// stay valid until the next reset().
+  /// The i-th node as the streaming-model unit. Spans borrow the batch (or
+  /// the graph it borrows) and stay valid until the next reset() or borrow().
   [[nodiscard]] StreamedNode node(std::size_t i) const {
     OMS_HEAVY_ASSERT(i < size());
-    const std::size_t begin = offsets_[i];
-    const std::size_t end = offsets_[i + 1];
-    return StreamedNode{
-        static_cast<NodeId>(first_id_ + i), weights_[i],
-        std::span<const NodeId>(neighbors_.data() + begin, end - begin),
-        std::span<const EdgeWeight>(edge_weights_.data() + begin, end - begin)};
+    const EdgeIndex begin = offsets_view_[i];
+    const auto degree = static_cast<std::size_t>(offsets_view_[i + 1] - begin);
+    return StreamedNode{static_cast<NodeId>(first_id_ + i), weights_view_[i],
+                        std::span<const NodeId>(neighbors_view_ + begin, degree),
+                        std::span<const EdgeWeight>(edge_weights_view_ + begin, degree)};
   }
 
 private:
+  /// Aim the views at the owned storage (appends may have reallocated it).
+  void view_owned() noexcept {
+    size_ = weights_.size();
+    offsets_view_ = offsets_.data();
+    weights_view_ = weights_.data();
+    neighbors_view_ = neighbors_.data();
+    edge_weights_view_ = edge_weights_.data();
+  }
+
   NodeId first_id_ = 0;
   std::uint64_t end_offset_ = 0;
   std::uint64_t end_line_no_ = 0;
+  // What consumers read: the owned storage below or a borrowed graph range,
+  // whose offsets are the graph's (they need not start at 0).
+  std::size_t size_ = 0;
+  const EdgeIndex* offsets_view_ = nullptr;
+  const NodeWeight* weights_view_ = nullptr;
+  const NodeId* neighbors_view_ = nullptr;
+  const EdgeWeight* edge_weights_view_ = nullptr;
+  // Owned storage, filled by a parser.
   std::vector<NodeWeight> weights_;
-  std::vector<std::size_t> offsets_ = {0};
+  std::vector<EdgeIndex> offsets_ = {0};
   std::vector<NodeId> neighbors_;
   std::vector<EdgeWeight> edge_weights_;
 };

@@ -2,8 +2,9 @@
 /// \brief The streaming loop shared by every one-pass algorithm: iterate the
 ///        nodes in stream order and ask an assigner for a permanent block.
 ///
-/// Sequential and shared-memory parallel (vertex-centric, static-chunked
-/// OpenMP — paper Section 3.4) drivers are provided. Assigners must be
+/// run_one_pass streams an in-memory graph through run_stream
+/// (stream/pipeline.hpp), sequentially or with one contiguous chunk of nodes
+/// per thread (vertex-centric, paper Section 3.4). Assigners must be
 /// thread-compatible: assign() may be called concurrently for different
 /// nodes; all shared state they keep must be atomic (see BlockWeights).
 #pragma once
@@ -72,16 +73,13 @@ struct StreamResult {
   StreamErrorStats skipped; ///< malformed lines skipped (disk, --on-error skip)
 };
 
-/// Stream \p graph in node-id order through \p assigner. (Disk streams go
-/// through run_stream, stream/pipeline.hpp.)
+/// Stream \p graph in node-id order through \p assigner: run_stream over the
+/// graph with no reader thread when sequential, and otherwise one batch of
+/// ceil(n / threads) consecutive nodes per consumer thread.
 /// \param num_threads 1 = sequential (deterministic); 0 = all hardware
-///        threads; >1 = that many OpenMP threads (vertex-centric chunks).
-/// \param chunk_size granularity of the parallel decomposition: 0 = one
-///        maximal contiguous chunk per thread (the paper's setup); a
-///        positive value deals chunks of that many nodes to threads
-///        round-robin, smoothing degree skew on hub-heavy streams.
+///        threads; >1 = that many consumer threads. For other batch sizes,
+///        call run_stream with PipelineConfig::batch_nodes.
 [[nodiscard]] StreamResult run_one_pass(const CsrGraph& graph, OnePassAssigner& assigner,
-                                        int num_threads = 1,
-                                        std::size_t chunk_size = 0);
+                                        int num_threads = 1);
 
 } // namespace oms

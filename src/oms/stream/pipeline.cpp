@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "oms/buffered/buffered_partitioner.hpp"
@@ -33,9 +35,9 @@ constexpr std::size_t kSequentialBatchNodes = 64;
   return IoError("this consumer does not support checkpoint/resume");
 }
 
-/// The checkpoint side of a node stream: restores \p consumer and the source
-/// from policy.resume, then snapshots after every batch that ends at or past
-/// the next multiple of checkpoint.every_nodes.
+/// The checkpoint side of a METIS node stream: restores \p consumer and the
+/// source from policy.resume, then snapshots after every batch that ends at
+/// or past the next multiple of checkpoint.every_nodes.
 template <typename Consumer>
 class CheckpointHook {
 public:
@@ -111,10 +113,89 @@ private:
   std::uint64_t next_ = kNever;
 };
 
-/// The one loop every disk stream runs: apply the malformed-line policy,
-/// then fill and consume batches through the pipeline ring (or on the
-/// calling thread), counting \p items once per consumed batch. Returns the
-/// wall time of the pass.
+/// CheckpointHook's stand-in on an in-memory graph, which has no position
+/// to snapshot or resume: a checkpoint or resume policy throws.
+struct NoCheckpoint {
+  NoCheckpoint(const auto& /*source*/, const auto& /*consumer*/,
+               const PipelineConfig& policy) {
+    if (checkpointing(policy)) {
+      throw IoError("in-memory graphs do not support checkpoint/resume");
+    }
+  }
+  static std::size_t clip(std::size_t max_nodes) noexcept { return max_nodes; }
+  static void after(const NodeBatch& /*batch*/) noexcept {}
+};
+
+template <typename Source, typename Consumer>
+using CheckpointHookFor = std::conditional_t<std::is_same_v<Source, MetisNodeStream>,
+                                             CheckpointHook<Consumer>, NoCheckpoint>;
+
+/// An in-memory graph as a node source: each batch borrows the CSR arrays
+/// of the next run of at most max_nodes consecutive nodes. The arc cap does
+/// not apply, since a borrowed batch holds no memory to bound.
+class GraphNodeSource {
+public:
+  explicit GraphNodeSource(const CsrGraph& graph) : graph_(graph) {}
+
+  void set_error_policy(const StreamErrorPolicy& /*policy*/) noexcept {}
+  [[nodiscard]] StreamErrorStats error_stats() const noexcept { return {}; }
+
+  std::size_t fill_batch(NodeBatch& batch, std::size_t max_nodes,
+                         std::size_t /*max_arcs*/ = 0) {
+    const NodeId begin = next_;
+    const NodeId end = begin + static_cast<NodeId>(std::min<std::size_t>(
+                                   max_nodes, graph_.num_nodes() - begin));
+    batch.borrow(graph_, begin, end);
+    next_ = end;
+    return batch.size();
+  }
+
+private:
+  const CsrGraph& graph_;
+  NodeId next_ = 0;
+};
+
+/// An in-memory edge sequence as an edge source: each batch borrows the next
+/// loop-free run. Self-loops are skipped and counted, and the largest id is
+/// tracked, as EdgeListStream does, so EdgeStreamStats read the same.
+class EdgeSpanSource {
+public:
+  explicit EdgeSpanSource(std::span<const StreamedEdge> edges) : edges_(edges) {}
+
+  void set_error_policy(const StreamErrorPolicy& /*policy*/) noexcept {}
+  [[nodiscard]] StreamErrorStats error_stats() const noexcept { return {}; }
+
+  std::size_t fill_batch(EdgeBatch& batch, std::size_t max_edges) {
+    while (next_ < edges_.size() && edges_[next_].u == edges_[next_].v) {
+      ++next_;
+      ++loops_;
+    }
+    const std::size_t begin = next_;
+    const std::size_t limit = begin + std::min(max_edges, edges_.size() - begin);
+    for (; next_ < limit && edges_[next_].u != edges_[next_].v; ++next_) {
+      max_id_ = std::max(max_id_, std::max(edges_[next_].u, edges_[next_].v));
+    }
+    batch.borrow(edges_.subspan(begin, next_ - begin));
+    delivered_ += batch.size();
+    return batch.size();
+  }
+
+  [[nodiscard]] EdgeIndex edges_delivered() const noexcept { return delivered_; }
+  [[nodiscard]] EdgeIndex self_loops_skipped() const noexcept { return loops_; }
+  [[nodiscard]] NodeId max_vertex_id() const noexcept { return max_id_; }
+
+private:
+  std::span<const StreamedEdge> edges_;
+  std::size_t next_ = 0;
+  EdgeIndex delivered_ = 0;
+  EdgeIndex loops_ = 0;
+  NodeId max_id_ = 0;
+};
+
+/// The one loop every stream runs: apply the malformed-line policy, then
+/// fill and consume batches through the pipeline ring (or on the calling
+/// thread), counting \p items once per consumed batch. Returns the wall
+/// time of the pass.
 template <typename Batch, typename Source, typename Fill, typename Consume>
 double drive(Source& source, const PipelineConfig& policy, int consumers,
              telemetry::Counter items, Fill&& fill, Consume&& consume) {
@@ -130,10 +211,10 @@ double drive(Source& source, const PipelineConfig& policy, int consumers,
   return timer.elapsed_s();
 }
 
-} // namespace
-
-StreamResult run_stream(MetisNodeStream& source, OnePassAssigner& assigner,
-                        const PipelineConfig& policy) {
+/// One-pass consumer over any node source.
+template <typename Source>
+StreamResult stream_one_pass(Source& source, OnePassAssigner& assigner,
+                             const PipelineConfig& policy) {
   const int consumers = resolve_threads(policy.assign_threads);
   if (checkpointing(policy) && consumers != 1) {
     throw IoError("checkpoint/resume needs one consumer (assign_threads = 1)");
@@ -141,7 +222,7 @@ StreamResult run_stream(MetisNodeStream& source, OnePassAssigner& assigner,
   // prepare() first: it may re-layout the block weights, and a resumed
   // state must land in the final layout.
   assigner.prepare(consumers);
-  CheckpointHook<OnePassAssigner> hook(source, assigner, policy);
+  CheckpointHookFor<Source, OnePassAssigner> hook(source, assigner, policy);
 
   // Per-thread counter slots merged after the join; each consumer accumulates
   // into a stack-local inside the batch loop so the shared vector is written
@@ -174,13 +255,11 @@ StreamResult run_stream(MetisNodeStream& source, OnePassAssigner& assigner,
   return result;
 }
 
-BufferedResult run_stream(MetisNodeStream& source, BufferedPartitioner& partitioner,
-                          const PipelineConfig& policy) {
-  if (source.header().has_node_weights) {
-    throw IoError("buffered disk streaming assumes unit node weights "
-                  "(load the graph in memory instead)");
-  }
-  CheckpointHook<BufferedPartitioner> hook(source, partitioner, policy);
+/// Buffered consumer over any node source.
+template <typename Source>
+BufferedResult stream_buffered(Source& source, BufferedPartitioner& partitioner,
+                               const PipelineConfig& policy) {
+  CheckpointHookFor<Source, BufferedPartitioner> hook(source, partitioner, policy);
   BufferedResult result;
   result.elapsed_s = drive<NodeBatch>(
       source, policy, /*consumers=*/1, telemetry::Counter::kStreamNodes,
@@ -197,9 +276,10 @@ BufferedResult run_stream(MetisNodeStream& source, BufferedPartitioner& partitio
   return result;
 }
 
-EdgePartitionResult run_stream(EdgeListStream& source,
-                               StreamingEdgePartitioner& partitioner,
-                               const PipelineConfig& policy) {
+/// Vertex-cut consumer over any edge source.
+template <typename Source>
+EdgePartitionResult stream_edges(Source& source, StreamingEdgePartitioner& partitioner,
+                                 const PipelineConfig& policy) {
   if (checkpointing(policy)) {
     throw IoError("edge-list streams do not support checkpoint/resume");
   }
@@ -222,6 +302,67 @@ EdgePartitionResult run_stream(EdgeListStream& source,
   result.skipped = source.error_stats();
   result.edge_assignment = partitioner.take_edge_assignment();
   return result;
+}
+
+} // namespace
+
+StreamResult run_stream(MetisNodeStream& source, OnePassAssigner& assigner,
+                        const PipelineConfig& policy) {
+  return stream_one_pass(source, assigner, policy);
+}
+
+StreamResult run_stream(const CsrGraph& graph, OnePassAssigner& assigner,
+                        const PipelineConfig& policy) {
+  GraphNodeSource source(graph);
+  return stream_one_pass(source, assigner, policy);
+}
+
+BufferedResult run_stream(MetisNodeStream& source, BufferedPartitioner& partitioner,
+                          const PipelineConfig& policy) {
+  if (source.header().has_node_weights) {
+    throw IoError("buffered disk streaming assumes unit node weights "
+                  "(load the graph in memory instead)");
+  }
+  return stream_buffered(source, partitioner, policy);
+}
+
+BufferedResult run_stream(const CsrGraph& graph, BufferedPartitioner& partitioner,
+                          const PipelineConfig& policy) {
+  GraphNodeSource source(graph);
+  return stream_buffered(source, partitioner, policy);
+}
+
+EdgePartitionResult run_stream(EdgeListStream& source,
+                               StreamingEdgePartitioner& partitioner,
+                               const PipelineConfig& policy) {
+  return stream_edges(source, partitioner, policy);
+}
+
+EdgePartitionResult run_stream(std::span<const StreamedEdge> edges,
+                               StreamingEdgePartitioner& partitioner,
+                               const PipelineConfig& policy) {
+  EdgeSpanSource source(edges);
+  return stream_edges(source, partitioner, policy);
+}
+
+StreamResult run_one_pass(const CsrGraph& graph, OnePassAssigner& assigner,
+                          int num_threads) {
+  PipelineConfig policy;
+  policy.assign_threads = resolve_threads(num_threads);
+  const auto threads = static_cast<std::size_t>(policy.assign_threads);
+  // Sequential: no reader thread. Parallel: the paper's decomposition, one
+  // contiguous run of nodes per thread.
+  policy.ring_batches = threads == 1 ? 0 : threads;
+  policy.batch_nodes =
+      std::max<std::size_t>(1, (graph.num_nodes() + threads - 1) / threads);
+  return run_stream(graph, assigner, policy);
+}
+
+EdgePartitionResult run_edge_partition(std::span<const StreamedEdge> edges,
+                                       StreamingEdgePartitioner& partitioner) {
+  PipelineConfig policy;
+  policy.ring_batches = 0;
+  return run_stream(edges, partitioner, policy);
 }
 
 } // namespace oms

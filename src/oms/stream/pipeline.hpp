@@ -1,10 +1,13 @@
 /// \file pipeline.hpp
-/// \brief The one disk-stream driver: run_stream(source, consumer, policy)
-///        reads a METIS node stream or an edge list in batches and hands
-///        each batch to a consumer, with or without a reader thread.
+/// \brief The one stream driver: run_stream(source, consumer, policy) reads
+///        a METIS node stream, an edge list, an in-memory graph or an
+///        in-memory edge sequence in batches and hands each batch to a
+///        consumer, with or without a reader thread.
 ///
 /// The three parts:
-///  * source — MetisNodeStream or EdgeListStream, read through fill_batch;
+///  * source — MetisNodeStream or EdgeListStream, read through fill_batch,
+///    or a CsrGraph or span of StreamedEdge, whose batches borrow the
+///    caller's arrays and copy nothing;
 ///  * consumer — a OnePassAssigner on PipelineConfig::assign_threads
 ///    threads, the BufferedPartitioner, or a StreamingEdgePartitioner,
 ///    called once per batch;
@@ -23,10 +26,11 @@
 /// one consumer, batches are consumed strictly in stream order, so every
 /// route and geometry produces the bit-identical result (pinned by the
 /// golden-hash suites). With several one-pass consumers, whole batches are
-/// dealt to threads like the chunked in-memory parallel driver, with the
-/// same Section 3.4 overshoot semantics.
+/// dealt to threads as they free up, and concurrent assigns race on the
+/// atomic block weights with the Section 3.4 overshoot semantics;
+/// run_one_pass's one batch per thread is the paper's decomposition.
 ///
-/// Checkpointing is one hook after each consumed batch, for node streams
+/// Checkpointing is one hook after each consumed batch, for METIS files
 /// and any consumer with save/load_stream_state. A snapshot records the
 /// position the reader stored in the batch (NodeBatch::end_offset), so it
 /// works with or without the reader thread. One-pass batches are clipped at
@@ -35,10 +39,13 @@
 /// decisions), so its snapshots land on the first buffer boundary at or
 /// past each multiple. FaultSite::kCheckpointDie fires right after a
 /// snapshot is durably on disk — the chaos suite's stand-in for kill -9.
+/// In-memory sources and edge lists do not checkpoint: a checkpoint or
+/// resume policy on them throws oms::IoError.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "oms/stream/checkpoint.hpp"
 #include "oms/stream/edge_list_stream.hpp"
@@ -58,9 +65,8 @@ struct EdgePartitionResult;
 /// ring deep enough to ride out parse/assign jitter.
 struct PipelineConfig {
   /// One-pass consumer (assignment) threads. 1 keeps stream order exactly;
-  /// >1 trades determinism for throughput exactly like run_one_pass(...,
-  /// num_threads > 1). Buffered and edge consumers always run one, and so
-  /// does any checkpointing run.
+  /// >1 trades determinism for throughput (Section 3.4). Buffered and edge
+  /// consumers always run one, and so does any checkpointing run.
   int assign_threads = 1;
 
   /// Max nodes (edges, for edge lists) per batch. Also the parallel
@@ -72,7 +78,8 @@ struct PipelineConfig {
 
   /// Max adjacency entries per one-pass batch: hub-heavy regions close a
   /// batch early so its memory stays bounded by arcs, not by the degree
-  /// distribution. 0 = no arc cap.
+  /// distribution. 0 = no arc cap. In-memory graphs ignore it: a borrowed
+  /// batch holds no memory to bound.
   std::size_t batch_arcs = 1 << 18;
 
   /// Batches circulating between the reader thread and the consumers. Bounds
@@ -101,26 +108,39 @@ struct PipelineConfig {
   const CheckpointState* resume = nullptr;
 };
 
-/// Stream \p source through a one-pass \p assigner. Total memory beyond the
-/// assigner's own state is O(ring_batches * batch size). An IoError raised
-/// by the parser mid-stream is rethrown here, on the calling thread, after
-/// all pipeline threads have been joined.
+/// Stream the METIS \p source, or \p graph in node-id order, through a
+/// one-pass \p assigner. Total memory beyond the assigner's own state is
+/// O(ring_batches * batch size); a graph's batches borrow runs of its CSR
+/// arrays. An IoError raised by the parser mid-stream is rethrown here, on
+/// the calling thread, after all pipeline threads have been joined.
 [[nodiscard]] StreamResult run_stream(MetisNodeStream& source,
                                       OnePassAssigner& assigner,
                                       const PipelineConfig& policy);
+[[nodiscard]] StreamResult run_stream(const CsrGraph& graph,
+                                      OnePassAssigner& assigner,
+                                      const PipelineConfig& policy);
 
-/// Stream \p source buffer by buffer through the buffered partitioner (one
-/// consumer; batch_nodes/batch_arcs do not apply). Requires unit node
-/// weights — the balance bound must be known before the pass and the header
-/// only reveals n — and throws oms::IoError otherwise.
+/// Stream \p source or \p graph buffer by buffer through the buffered
+/// partitioner (one consumer; batch_nodes/batch_arcs do not apply). A file
+/// needs unit node weights — the balance bound must be known before the
+/// pass and the header only reveals n — and throws oms::IoError otherwise;
+/// a graph may carry node weights, since the partitioner was sized with
+/// its total.
 [[nodiscard]] BufferedResult run_stream(MetisNodeStream& source,
                                         BufferedPartitioner& partitioner,
                                         const PipelineConfig& policy);
+[[nodiscard]] BufferedResult run_stream(const CsrGraph& graph,
+                                        BufferedPartitioner& partitioner,
+                                        const PipelineConfig& policy);
 
-/// Stream the edge list \p source through a vertex-cut \p partitioner (one
-/// consumer: the assigners are order-dependent). Edge-list streams do not
-/// checkpoint; a checkpoint or resume policy throws oms::IoError.
+/// Stream the edge list \p source, or the in-memory \p edges, through a
+/// vertex-cut \p partitioner (one consumer: the assigners are
+/// order-dependent). Batches of \p edges borrow its loop-free runs;
+/// self-loops are skipped and counted as the file reader does.
 [[nodiscard]] EdgePartitionResult run_stream(EdgeListStream& source,
+                                             StreamingEdgePartitioner& partitioner,
+                                             const PipelineConfig& policy);
+[[nodiscard]] EdgePartitionResult run_stream(std::span<const StreamedEdge> edges,
                                              StreamingEdgePartitioner& partitioner,
                                              const PipelineConfig& policy);
 

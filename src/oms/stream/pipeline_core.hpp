@@ -1,13 +1,13 @@
 /// \file pipeline_core.hpp
-/// \brief The producer/consumer ring shared by every pipelined disk stream:
+/// \brief The producer/consumer ring shared by every run_stream source:
 ///        a reader thread fills recycled batch buffers, consumer threads
 ///        drain them, errors from either side are rethrown on the caller.
 ///
-/// run_stream (stream/pipeline.hpp) drives every disk stream through this one
-/// loop, so node and edge sources share the exact shutdown and error
-/// protocol: two bounded queues close the loop, ring_batches bounds the
-/// parse-ahead (backpressure on both sides), and after warm-up no allocation
-/// happens on either path. ring_batches == 0 is the sequential route: no
+/// run_stream (stream/pipeline.hpp) drives every stream, from disk or from
+/// memory, through this one loop, so all sources share the exact shutdown
+/// and error protocol: two bounded queues close the loop, ring_batches
+/// bounds the parse-ahead (backpressure on both sides), and after warm-up
+/// no allocation happens on either path. ring_batches == 0 is the sequential route: no
 /// reader thread, one batch, the same spans and fault sites.
 ///
 /// Failure hardening: an optional watchdog bounds every queue wait so

@@ -1,8 +1,7 @@
 /// \file parallel.hpp
-/// \brief Thin OpenMP helpers (hardware thread discovery, a chunked
-///        parallel-for matching the paper's vertex-centric parallelization)
-///        plus the bounded blocking queue that carries parsed node batches
-///        between the disk-ingest producer and the assignment consumers.
+/// \brief Thread-count helpers (hardware thread discovery, the "0 = all
+///        hardware threads" convention) plus the bounded blocking queue that
+///        carries batches between the stream producer and the consumers.
 #pragma once
 
 #include <chrono>
@@ -13,26 +12,9 @@
 #include <thread>
 #include <utility>
 
-#include <omp.h>
-
 #include "oms/util/assert.hpp"
 #include "oms/util/fault_injection.hpp"
 #include "oms/util/io_error.hpp"
-
-/// TSan cannot see the fork/join synchronization inside an uninstrumented
-/// OpenMP runtime (GCC's libgomp), so every parallel region would report
-/// false races between the workers and the code after the implicit barrier.
-/// Under TSan the chunked parallel-for below therefore walks the same chunk
-/// decomposition sequentially (same work, same thread ids handed to the
-/// body, no OMP threads). The std::thread-based pipeline machinery — the
-/// concurrency the TSan CI leg exists to check — stays fully instrumented.
-#if defined(__SANITIZE_THREAD__)
-#define OMS_TSAN_ACTIVE 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define OMS_TSAN_ACTIVE 1
-#endif
-#endif
 
 namespace oms {
 
@@ -48,54 +30,6 @@ namespace oms {
     return hardware_threads();
   }
   return requested;
-}
-
-/// Run body(begin, end, thread_id) over [0, n) split into contiguous static
-/// chunks. Static chunking keeps the streaming order locally sequential per
-/// thread, which is what Section 3.4 of the paper assumes ("nodes ...
-/// concurrently loaded by distinct threads").
-///
-/// \param chunk_size 0 = one maximal chunk per thread (lowest scheduling
-///        overhead). A positive value splits [0, n) into chunks of that size
-///        dealt to threads round-robin — smaller chunks smooth out degree
-///        skew (a hub-heavy region no longer pins one thread) at the price
-///        of more frequent chunk switches; each thread still sees its own
-///        chunks in ascending order.
-template <typename Body>
-void parallel_chunks(std::size_t n, int num_threads, std::size_t chunk_size,
-                     Body&& body) {
-  const int threads = resolve_threads(num_threads);
-  if (threads == 1 || n == 0) {
-    body(std::size_t{0}, n, 0);
-    return;
-  }
-#if defined(OMS_TSAN_ACTIVE)
-  {
-    const auto used = static_cast<std::size_t>(threads);
-    const std::size_t chunk =
-        chunk_size > 0 ? chunk_size : (n + used - 1) / used;
-    const std::size_t num_chunks = (n + chunk - 1) / chunk;
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      const std::size_t begin = c * chunk;
-      const std::size_t end = begin + chunk < n ? begin + chunk : n;
-      body(begin, end, static_cast<int>(c % used));
-    }
-  }
-#else
-#pragma omp parallel num_threads(threads)
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    const auto used = static_cast<std::size_t>(omp_get_num_threads());
-    const std::size_t chunk =
-        chunk_size > 0 ? chunk_size : (n + used - 1) / used;
-    const std::size_t num_chunks = (n + chunk - 1) / chunk;
-    for (std::size_t c = tid; c < num_chunks; c += used) {
-      const std::size_t begin = c * chunk;
-      const std::size_t end = begin + chunk < n ? begin + chunk : n;
-      body(begin, end, static_cast<int>(tid));
-    }
-  }
-#endif
 }
 
 /// Bounded blocking FIFO for producer/consumer pipelines (SPSC through MPMC;

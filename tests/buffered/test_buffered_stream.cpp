@@ -13,9 +13,12 @@
 
 #include "oms/buffered/buffered_partitioner.hpp"
 #include "oms/graph/generators.hpp"
+#include "oms/graph/graph_builder.hpp"
 #include "oms/graph/io.hpp"
 #include "oms/partition/metrics.hpp"
+#include "oms/partition/partition_config.hpp"
 #include "oms/util/io_error.hpp"
+#include "oms/util/random.hpp"
 #include "tests/test_support.hpp"
 
 namespace oms {
@@ -173,6 +176,33 @@ TEST(BufferedStream, RejectsNodeWeightedFiles) {
   EXPECT_THROW(
       (void)stream_buffered(file.path(), 2, config, PipelineConfig{}),
       IoError);
+}
+
+TEST(BufferedStream, InMemoryAcceptsNodeWeightedGraphs) {
+  // The rejection above belongs to the METIS header, which reveals no total
+  // node weight before the pass; an in-memory graph knows it up front.
+  const CsrGraph shape = gen::barabasi_albert(3000, 4, 11);
+  GraphBuilder builder(shape.num_nodes());
+  Rng rng(3);
+  for (NodeId u = 0; u < shape.num_nodes(); ++u) {
+    builder.set_node_weight(u, 1 + static_cast<NodeWeight>(rng.next_below(5)));
+    for (const NodeId v : shape.neighbors(u)) {
+      if (v > u) {
+        builder.add_edge(u, v);
+      }
+    }
+  }
+  const CsrGraph g = std::move(builder).build();
+  for (const BlockId k : {4, 32}) {
+    BufferedConfig config;
+    config.buffer_size = 256;
+    const BufferedResult r = buffered_partition(g, k, config);
+    verify_partition(g, r.assignment, k);
+    const NodeWeight lmax = max_block_weight(g.total_node_weight(), k, config.epsilon);
+    for (const NodeWeight w : block_weights_of(g, r.assignment, k)) {
+      EXPECT_LE(w, lmax) << "k=" << k;
+    }
+  }
 }
 
 TEST(BufferedStream, EmptyGraphYieldsEmptyAssignment) {

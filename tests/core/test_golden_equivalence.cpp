@@ -253,11 +253,18 @@ TEST(GoldenEquivalence, ParallelRunIsCoveredAndBalanced) {
   const CsrGraph g = gen::barabasi_albert(30000, 5, 17);
   const BlockId k = 64;
   for (const int threads : {2, 4, 8}) {
-    for (const std::size_t chunk_size : {std::size_t{0}, std::size_t{1024}}) {
+    // 0: run_one_pass's one contiguous batch per thread; otherwise batches of
+    // that many nodes, dealt to whichever consumer thread is free.
+    for (const std::size_t batch_nodes : {std::size_t{0}, std::size_t{1024}}) {
       OmsConfig config;
       OnlineMultisection oms(g.num_nodes(), g.num_edges(), g.total_node_weight(), k,
                              config);
-      const StreamResult r = run_one_pass(g, oms, threads, chunk_size);
+      PipelineConfig policy;
+      policy.assign_threads = threads;
+      policy.batch_nodes = batch_nodes;
+      policy.ring_batches = static_cast<std::size_t>(threads);
+      const StreamResult r =
+          batch_nodes == 0 ? run_one_pass(g, oms, threads) : run_stream(g, oms, policy);
       verify_partition(g, r.assignment, k);
 
       const NodeWeight lmax =
@@ -271,7 +278,7 @@ TEST(GoldenEquivalence, ParallelRunIsCoveredAndBalanced) {
         EXPECT_LE(cap[static_cast<std::size_t>(b)],
                   lmax + threads * max_node_weight)
             << "block " << b << " overshot beyond the parallel bound (threads="
-            << threads << ", chunk=" << chunk_size << ")";
+            << threads << ", batch_nodes=" << batch_nodes << ")";
       }
     }
   }

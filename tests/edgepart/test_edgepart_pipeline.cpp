@@ -1,7 +1,7 @@
 /// \file test_edgepart_pipeline.cpp
 /// \brief Edge lists through run_stream's reader thread: bit-identical
 ///        output to the sequential route across batch/ring geometries,
-///        parity with the in-memory driver, and IoError surfacing from the
+///        parity with in-memory edge spans, and IoError surfacing from the
 ///        producer thread without deadlocking the pipeline.
 #include <gtest/gtest.h>
 
@@ -90,9 +90,6 @@ TEST(EdgePartPipeline, HierarchicalPartitionerPipelinesIdentically) {
 
 TEST(EdgePartPipeline, FileDriverMatchesInMemoryDriver) {
   const CsrGraph graph = gen::barabasi_albert(1500, 4, 29);
-  const std::string path = temp_path("oms_ep_mem.edgelist");
-  write_edge_list(graph, path);
-
   std::vector<StreamedEdge> edges;
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
     for (const NodeId v : graph.neighbors(u)) {
@@ -101,17 +98,48 @@ TEST(EdgePartPipeline, FileDriverMatchesInMemoryDriver) {
       }
     }
   }
+  // Self-loops at the start, in the middle, back to back and at the end; the
+  // last one names an id past every real edge, so a loop that leaked into
+  // the max-id tracking would change num_vertices.
+  const auto loop = [](NodeId u) { return StreamedEdge{u, u, 1}; };
+  edges.insert(edges.begin(), {loop(0), loop(3)});
+  edges.insert(edges.begin() + static_cast<std::ptrdiff_t>(edges.size() / 3), loop(7));
+  edges.insert(edges.begin() + static_cast<std::ptrdiff_t>(edges.size() / 2),
+               {loop(1), loop(2), loop(1)});
+  edges.insert(edges.end(), {loop(4), loop(99999)});
+  const std::string path = temp_path("oms_ep_mem.edgelist");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  for (const StreamedEdge& e : edges) {
+    std::fprintf(f, "%u %u\n", e.u, e.v);
+  }
+  std::fclose(f);
 
   EdgePartConfig config;
   config.k = 8;
   config.seed = 5;
-  DbhPartitioner from_memory(config);
   DbhPartitioner from_file(config);
-  const auto mem = run_edge_partition(edges, from_memory);
   const auto file = stream_edges(path, from_file, sequential_policy());
-  EXPECT_EQ(mem.edge_assignment, file.edge_assignment);
-  EXPECT_EQ(mem.stats.num_edges, file.stats.num_edges);
-  EXPECT_EQ(mem.stats.num_vertices, file.stats.num_vertices);
+  ASSERT_EQ(file.stats.num_edges, graph.num_edges());
+  ASSERT_EQ(file.stats.self_loops_skipped, 8u);
+  ASSERT_EQ(file.stats.num_vertices, graph.num_nodes());
+
+  const auto expect_parity = [&](const EdgePartitionResult& mem, const std::string& label) {
+    EXPECT_EQ(mem.edge_assignment, file.edge_assignment) << label;
+    EXPECT_EQ(mem.stats.num_edges, file.stats.num_edges) << label;
+    EXPECT_EQ(mem.stats.self_loops_skipped, file.stats.self_loops_skipped) << label;
+    EXPECT_EQ(mem.stats.num_vertices, file.stats.num_vertices) << label;
+  };
+  DbhPartitioner from_memory(config);
+  expect_parity(run_edge_partition(edges, from_memory), "run_edge_partition");
+  // Batch boundaries that land on, next to and between the loops.
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    PipelineConfig policy = sequential_policy();
+    policy.batch_nodes = batch;
+    DbhPartitioner partitioner(config);
+    expect_parity(run_stream(edges, partitioner, policy),
+                  "batch " + std::to_string(batch));
+  }
   std::remove(path.c_str());
 }
 

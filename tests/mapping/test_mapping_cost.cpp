@@ -47,6 +47,11 @@ TEST(MappingCost, ParallelMatchesSequential) {
   for (const int threads : {2, 4, 8}) {
     EXPECT_EQ(mapping_cost(g, h, mapping, threads), seq);
   }
+  // Fewer nodes than threads, and no nodes at all.
+  EXPECT_EQ(mapping_cost(testing::path_graph(3), SystemHierarchy::parse("2:2", "1:10"),
+                         std::vector<BlockId>{0, 1, 2}, 8),
+            22);
+  EXPECT_EQ(mapping_cost(testing::path_graph(0), h, std::vector<BlockId>{}, 8), 0);
 }
 
 TEST(MappingCost, HierarchyAwarePlacementBeatsScattered) {

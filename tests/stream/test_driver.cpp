@@ -20,7 +20,7 @@ namespace oms {
 namespace {
 
 /// Records the order in which nodes arrive; assigns round-robin.
-/// Recording is mutex-guarded so the parallel driver can exercise it too.
+/// Recording is mutex-guarded so concurrent consumers can exercise it too.
 class RecordingAssigner final : public OnePassAssigner {
 public:
   explicit RecordingAssigner(NodeId n, BlockId k)
@@ -93,6 +93,19 @@ TEST(OnePassDriver, ParallelVisitsEveryNodeExactlyOnce) {
     EXPECT_EQ(blocks.size(), 4u);
     EXPECT_EQ(result.work.layers_traversed, g.num_nodes());
   }
+  // Fewer nodes than threads, and no nodes at all.
+  for (const NodeId n : {NodeId{3}, NodeId{0}}) {
+    const CsrGraph small = testing::path_graph(n);
+    RecordingAssigner assigner(n, 2);
+    const StreamResult result = run_one_pass(small, assigner, 8);
+    ASSERT_EQ(result.assignment.size(), n);
+    for (NodeId u = 0; u < n; ++u) {
+      EXPECT_EQ(result.assignment[u], static_cast<BlockId>(u % 2)) << "n=" << n;
+    }
+    EXPECT_EQ(result.work.layers_traversed, n) << "n=" << n;
+    EXPECT_EQ(assigner.order.size(), n);
+    EXPECT_EQ(std::set<NodeId>(assigner.order.begin(), assigner.order.end()).size(), n);
+  }
 }
 
 TEST(OnePassDriver, ThreadCountZeroMeansAllHardwareThreads) {
@@ -115,9 +128,8 @@ TEST(BlockWeights, AtomicAddAndTotal) {
   EXPECT_EQ(w.total(), 0);
 }
 
-// The concurrent BlockWeights stress tests spawn std::threads rather than an
-// OMP region so the TSan CI leg sees the synchronization (an uninstrumented
-// OpenMP runtime's fork/join is invisible to it).
+// The concurrent BlockWeights stress tests spawn std::threads, as the stream
+// ring does, so the TSan CI leg checks the atomics directly.
 TEST(BlockWeights, ConcurrentIncrementsAreLossless) {
   BlockWeights w(2);
   std::vector<std::thread> threads;

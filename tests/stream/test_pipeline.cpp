@@ -2,7 +2,7 @@
 /// \brief run_stream's reader thread must change *when* work happens, never
 ///        *what* is decided: single-consumer runs are bit-identical to the
 ///        sequential route across batch/ring geometries; multi-consumer
-///        runs keep the parallel driver's coverage and overshoot invariants;
+///        runs keep the Section 3.4 coverage and overshoot invariants;
 ///        an IoError raised mid-stream surfaces on the caller instead of
 ///        deadlocking; fill_batch survives rewind() and batch seams.
 #include "oms/stream/pipeline.hpp"
@@ -15,13 +15,17 @@
 #include <string>
 #include <vector>
 
+#include "oms/buffered/buffered_partitioner.hpp"
 #include "oms/core/online_multisection.hpp"
+#include "oms/edgepart/driver.hpp"
+#include "oms/edgepart/hdrf.hpp"
 #include "oms/graph/generators.hpp"
 #include "oms/graph/graph_builder.hpp"
 #include "oms/graph/io.hpp"
 #include "oms/partition/fennel.hpp"
 #include "oms/partition/metrics.hpp"
 #include "oms/partition/partition_config.hpp"
+#include "oms/util/io_error.hpp"
 #include "oms/util/random.hpp"
 #include "tests/test_support.hpp"
 
@@ -90,11 +94,13 @@ TEST(Pipeline, SingleConsumerMatchesSequentialAcrossGeometries) {
 
   // Degenerate geometries force every seam: single-node batches, a one-slot
   // ring (strict ping-pong), an arc cap that closes batches early, a reader
-  // buffer far smaller than a line.
+  // buffer far smaller than a line. The in-memory graph, whose batches
+  // borrow its arrays, must decide the same on every geometry.
   struct Geometry {
     std::size_t batch_nodes, batch_arcs, ring, buffer;
   };
-  for (const Geometry geo : {Geometry{1, 0, 1, 64}, Geometry{3, 0, 2, 64},
+  for (const Geometry geo : {Geometry{1, 0, 0, 64}, Geometry{64, 0, 0, 1 << 16},
+                             Geometry{1, 0, 1, 64}, Geometry{3, 0, 2, 64},
                              Geometry{64, 16, 2, 256}, Geometry{4096, 0, 4, 1 << 16},
                              Geometry{1024, 1 << 18, 8, 1 << 18}}) {
     SCOPED_TRACE("batch=" + std::to_string(geo.batch_nodes) +
@@ -111,6 +117,10 @@ TEST(Pipeline, SingleConsumerMatchesSequentialAcrossGeometries) {
     const StreamResult got = stream_file(path, *pipelined, config);
     EXPECT_EQ(got.assignment, expected.assignment);
     EXPECT_EQ(got.work.score_evaluations, expected.work.score_evaluations);
+    auto from_memory = fennel_for(g, 7);
+    const StreamResult in_memory = run_stream(g, *from_memory, config);
+    EXPECT_EQ(in_memory.assignment, expected.assignment);
+    EXPECT_EQ(in_memory.work.score_evaluations, expected.work.score_evaluations);
   }
   std::remove(path.c_str());
 }
@@ -132,6 +142,24 @@ TEST(Pipeline, SingleConsumerMatchesSequentialOnWeightedOms) {
   const StreamResult got = stream_file(path, pipelined, config);
   EXPECT_EQ(got.assignment, expected.assignment);
   std::remove(path.c_str());
+}
+
+TEST(Pipeline, InMemorySourcesRejectCheckpointAndResume) {
+  const CsrGraph g = gen::barabasi_albert(200, 3, 7);
+  const std::vector<StreamedEdge> edges = {{0, 1, 1}, {1, 2, 1}};
+  const std::string path = temp_path("oms_pipeline_memory.ckpt");
+  PipelineConfig policy = sequential_policy();
+  policy.checkpoint.path = path;
+
+  auto fennel = fennel_for(g, 4);
+  EXPECT_THROW((void)run_stream(g, *fennel, policy), IoError);
+  BufferedPartitioner buffered(g.num_nodes(), g.total_node_weight(), 4, BufferedConfig{});
+  EXPECT_THROW((void)run_stream(g, buffered, policy), IoError);
+  EdgePartConfig config;
+  config.k = 4;
+  HdrfPartitioner hdrf(config);
+  EXPECT_THROW((void)run_stream(edges, hdrf, policy), IoError);
+  EXPECT_FALSE(std::ifstream(path).good()) << "no snapshot may be written";
 }
 
 TEST(Pipeline, CommentsIsolatedNodesAndMissingTrailingLines) {
@@ -164,7 +192,7 @@ TEST(Pipeline, CommentsIsolatedNodesAndMissingTrailingLines) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-consumer: same invariants as the in-memory parallel driver.
+// Multi-consumer: the Section 3.4 coverage and overshoot invariants.
 // ---------------------------------------------------------------------------
 
 TEST(Pipeline, MultiConsumerIsCoveredAndBalanced) {

@@ -284,12 +284,14 @@ TEST(RouteTelemetry, EveryRouteEmitsSpansAndCountsItemsOnce) {
     const char* algo;
     bool from_disk;
     bool pipeline;
+    int threads;
   };
   const Route routes[] = {
-      {&metis, "fennel", true, false},   {&metis, "fennel", true, true},
-      {&metis, "buffered", true, false}, {&metis, "buffered", true, true},
-      {&edges, "hdrf", true, false},     {&edges, "hdrf", true, true},
-      {&metis, "buffered", false, false}, {&metis, "fennel", false, false},
+      {&metis, "fennel", true, false, 1},    {&metis, "fennel", true, true, 1},
+      {&metis, "buffered", true, false, 1},  {&metis, "buffered", true, true, 1},
+      {&edges, "hdrf", true, false, 1},      {&edges, "hdrf", true, true, 1},
+      {&metis, "buffered", false, false, 1}, {&metis, "fennel", false, false, 1},
+      {&metis, "fennel", false, false, 2},
   };
   for (const Route& route : routes) {
     PartitionRequest req;
@@ -298,9 +300,11 @@ TEST(RouteTelemetry, EveryRouteEmitsSpansAndCountsItemsOnce) {
     req.k = 4;
     req.from_disk = route.from_disk;
     req.pipeline = route.pipeline;
+    req.threads = route.threads;
     const std::string label = std::string(route.algo) +
                               (route.from_disk ? " disk" : " memory") +
-                              (route.pipeline ? " pipelined" : "");
+                              (route.pipeline ? " pipelined" : "") + " threads=" +
+                              std::to_string(route.threads);
     MetricsRegistry registry;
     MetricsRegistry::arm(registry);
     (void)Partitioner().partition(req);
@@ -314,10 +318,9 @@ TEST(RouteTelemetry, EveryRouteEmitsSpansAndCountsItemsOnce) {
     const auto [bytes, lines] = size_of(*route.path);
     EXPECT_EQ(snap.counter(Counter::kStreamBytesRead), bytes) << label;
     EXPECT_EQ(snap.counter(Counter::kStreamLinesParsed), lines) << label;
-    if (route.from_disk) {
-      EXPECT_GT(snap.histogram(Hist::kStageParse).count, 0u) << label;
-      EXPECT_GT(snap.histogram(Hist::kStageAssign).count, 0u) << label;
-    }
+    // Every route, in memory or on disk, runs the one stream loop.
+    EXPECT_GT(snap.histogram(Hist::kStageParse).count, 0u) << label;
+    EXPECT_GT(snap.histogram(Hist::kStageAssign).count, 0u) << label;
   }
   std::remove(metis.c_str());
   std::remove(edges.c_str());
