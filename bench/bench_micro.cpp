@@ -157,6 +157,23 @@ void BM_MetisStreamRead(benchmark::State& state) {
 }
 BENCHMARK(BM_MetisStreamRead);
 
+void BM_ReadMetis(benchmark::State& state) {
+  // In-memory load: read_metis of the shared graph's file, which drains the
+  // same parser into GraphBuilder and assembles the CSR. Items are arcs.
+  const std::string path = "/tmp/oms_bench_micro_read." +
+                           std::to_string(::getpid()) + ".graph";
+  write_metis(shared_graph(), path);
+  EdgeIndex arcs = 0;
+  for (auto _ : state) {
+    const CsrGraph graph = read_metis(path);
+    arcs = graph.num_arcs();
+    benchmark::DoNotOptimize(arcs);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(arcs));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_ReadMetis);
+
 /// Disk-backed end-to-end partition runs: the sequential route alternates
 /// parse and assign batches on one core; the pipelined route overlaps them
 /// with a dedicated reader thread. Same file, same assigner, same decisions — the

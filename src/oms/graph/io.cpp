@@ -1,5 +1,7 @@
 #include "oms/graph/io.hpp"
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -89,6 +91,19 @@ CsrGraph read_metis(const std::string& path) {
   auto stream = std::make_unique<MetisNodeStream>(path);
   const MetisHeader header = stream->header();
   GraphBuilder builder(header.num_nodes);
+  // Size the edge array from the header, but never beyond what the input
+  // can hold: a regular file of B bytes lists each edge from both endpoints,
+  // at least two bytes ("1 ") per listing, so at most B / 4 edges. A pipe
+  // has no size and gets no reserve. Either way a header that lies about m
+  // fails the edge-count check below, not the allocation.
+  std::error_code ec;
+  if (std::filesystem::is_regular_file(path, ec)) {
+    const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+    if (!ec) {
+      builder.reserve_edges(static_cast<std::size_t>(
+          std::min<std::uintmax_t>(header.num_edges, bytes / 4)));
+    }
+  }
   StreamedNode node{};
   while (stream->next(node)) {
     if (header.has_node_weights) {

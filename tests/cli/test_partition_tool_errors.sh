@@ -101,6 +101,30 @@ check_position_error "in-memory zero edge weight" "$tmpdir/zeroweight.graph" 3
 check_position_error "from-disk zero edge weight" "$tmpdir/zeroweight.graph" 3 \
   --from-disk
 
+# A header that claims an absurd edge count is a content error on the
+# in-memory loader (exit 1, the header-count message), never an allocation
+# failure ("out of memory loading") or a SIGABRT from std::length_error.
+check_lying_header() {
+  local name="$1"
+  local file="$2"
+  local out
+  out="$("$tool" "$file" --k 2 2>&1)"
+  local code=$?
+  if [ "$code" -eq 1 ] &&
+     printf '%s' "$out" | grep -qF "edge count disagrees with METIS header" &&
+     ! printf '%s' "$out" | grep -qF "out of memory loading"; then
+    echo "ok   [$name]"
+  else
+    echo "FAIL [$name]: exit $code, expected 1 with the header-count message"
+    echo "$out" | sed 's/^/    /'
+    failures=$((failures + 1))
+  fi
+}
+printf '3 1000000000000000\n2\n1 3\n2\n' > "$tmpdir/lying15.graph"
+printf '3 9223372036854775807\n2\n1 3\n2\n' > "$tmpdir/lying63.graph"
+check_lying_header "in-memory header m = 10^15" "$tmpdir/lying15.graph"
+check_lying_header "in-memory header m = 2^63 - 1" "$tmpdir/lying63.graph"
+
 # --- Disk-native buffered and window models ---------------------------------
 
 # Both stream from disk now: well-formed controls must succeed, sequential

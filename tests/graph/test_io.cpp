@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "oms/graph/generators.hpp"
 #include "oms/graph/graph_builder.hpp"
@@ -134,13 +137,67 @@ TEST_F(IoTest, MetisIsolatedMidStreamNodesKeepTheirSlot) {
 // streaming reader started).
 // ---------------------------------------------------------------------------
 
+void expect_edge_count_error(const std::string& path) {
+  try {
+    (void)read_metis(path);
+    ADD_FAILURE() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("edge count disagrees with METIS header"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(IoTest, MetisHeaderMismatchThrows) {
+  // The file has 2 edges. read_metis sizes its edge array from the header,
+  // clamped to what the file can hold, so an absurd m fails the count check
+  // too, not the allocation (std::bad_alloc or std::length_error). A pipe
+  // has no size, so there it gets no reserve at all.
   const std::string path = temp_path("badheader.graph");
+  const std::string fifo = temp_path("badheader.fifo");
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const char* m : {"5", "1000000000000000", "9223372036854775807"}) {
+    SCOPED_TRACE(std::string("header m = ") + m);
+    const std::string content = std::string("3 ") + m + "\n2\n1 3\n2\n";
+    {
+      std::ofstream out(path);
+      out << content;
+    }
+    expect_edge_count_error(path);
+    std::thread writer([&] { std::ofstream(fifo) << content; });
+    expect_edge_count_error(fifo);
+    writer.join();
+  }
+  std::remove(path.c_str());
+  std::remove(fifo.c_str());
+}
+
+TEST_F(IoTest, MetisRecordsEachEdgeFromItsLowerEndpoint) {
+  // read_metis keeps the upper triangle: an entry counts only when listed
+  // from the lower id. Node 1 lists 2 twice (weights sum to 2); node 2 lists
+  // 1 twice (ignored: higher endpoint), itself (dropped) and 4, which node 4
+  // does not list back (kept); node 4 lists 3, which node 3 does not list
+  // back (dropped). That leaves 3 edges, so the header decides.
+  const std::string path = temp_path("triangle.graph");
+  const char* body = "2 2 3\n1 1 2 4\n1\n3\n";
   {
     std::ofstream out(path);
-    out << "3 5\n2\n1 3\n2\n"; // claims 5 edges, has 2
+    out << "4 3\n" << body;
   }
-  EXPECT_THROW((void)read_metis(path), IoError);
+  const CsrGraph g = read_metis(path);
+  const auto as_vector = [](auto span) { return std::vector(span.begin(), span.end()); };
+  EXPECT_EQ(as_vector(g.raw_xadj()), (std::vector<EdgeIndex>{0, 2, 4, 5, 6}));
+  EXPECT_EQ(as_vector(g.raw_adjncy()), (std::vector<NodeId>{1, 2, 0, 3, 0, 1}));
+  EXPECT_EQ(as_vector(g.raw_adjwgt()), (std::vector<EdgeWeight>{2, 1, 2, 1, 1, 1}));
+  EXPECT_EQ(as_vector(g.raw_vwgt()), (std::vector<NodeWeight>{1, 1, 1, 1}));
+
+  // Counting the edge 3-4 from its higher endpoint is the header's mistake.
+  {
+    std::ofstream out(path);
+    out << "4 4\n" << body;
+  }
+  expect_edge_count_error(path);
   std::remove(path.c_str());
 }
 
