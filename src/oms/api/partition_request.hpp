@@ -1,15 +1,15 @@
 /// \file partition_request.hpp
 /// \brief The one request struct behind every partitioning entry point.
 ///
-/// Below it the library has one stream driver, run_stream(source, consumer,
-/// policy) (stream/pipeline.hpp), over files and in-memory graphs alike,
-/// and each consumer takes its own algorithm config. PartitionRequest unifies PartitionConfig,
-/// BufferedConfig, WindowConfig, EdgePartConfig and the checkpoint/pipeline/
-/// error-policy options into a single description of "partition this input
-/// like so"; oms::Partitioner (api/partitioner.hpp) turns it into a
-/// PartitionArtifact. The CLI flags of
+/// PartitionRequest unifies PartitionConfig, BufferedConfig, WindowConfig,
+/// EdgePartConfig and the checkpoint/pipeline/error-policy options into one
+/// description of "partition this input like so"; oms::Partitioner
+/// (api/partitioner.hpp) turns it into a PartitionArtifact. The CLI flags of
 /// partition_tool and oms_serve map onto these fields one to one
-/// (cli/parse_request.hpp).
+/// (cli/parse_request.hpp), and the string fields stay strings here: the
+/// facade parses them once per call, so library callers that set them
+/// directly get the same diagnostics as the CLIs. Thread counts are bounded
+/// by kMaxThreads.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +31,11 @@ public:
   explicit InvalidRequest(const std::string& message)
       : std::runtime_error(message) {}
 };
+
+/// Upper bound on PartitionRequest::threads and ::io_threads (0 still means
+/// all hardware threads). Each count starts that many OS threads and a ring
+/// of as many batches, so a typo is refused before anything runs.
+inline constexpr int kMaxThreads = 1024;
 
 struct PartitionRequest {
   // --- input -------------------------------------------------------------

@@ -4,11 +4,18 @@
 ///        window, buffered (lp/multilevel), and the vertex-cut edge
 ///        partitioners — sequential, pipelined, checkpointed or in memory.
 ///
-/// The facade routes a PartitionRequest to the existing drivers, so its
-/// results are bit-identical to calling those drivers directly (pinned by
-/// the facade parity suite). partition_tool, oms_serve and the tests all
-/// dispatch through here; the legacy free functions remain as the routed-to
-/// implementations and as thin compatibility entry points for one release.
+/// Each call parses the request's string fields (algo, format, on_error,
+/// buffered_engine) once, through one name table that also records each
+/// algorithm's facts: node or edge input, ordered consumer, checkpointable.
+/// Every later decision reads those. Node streams, from a METIS file or a
+/// loaded graph, then take one route to run_stream; edge lists take the
+/// vertex-cut route. Results are bit-identical to calling the drivers
+/// directly (pinned by the facade parity suite).
+///
+/// Ordered consumers — window, buffered and the vertex-cut assigners — commit
+/// in stream order: in memory they ignore `threads`, and with --pipeline they
+/// take only io_threads = 1. threads and io_threads must lie in
+/// [0, kMaxThreads]; 0 means all hardware threads.
 ///
 /// Error contract:
 ///  * InvalidRequest — the request itself cannot be executed (unknown algo,

@@ -51,35 +51,25 @@ SingleRun run_once(Algo algo, const CsrGraph& graph, const RunOptions& options,
   pc.epsilon = options.epsilon;
   pc.seed = seed;
 
+  const auto one_pass = [&](auto&& assigner) {
+    out.state_bytes = assigner.state_bytes();
+    StreamResult r = run_one_pass(graph, assigner, options.threads);
+    out.assignment = std::move(r.assignment);
+    out.time_s = r.elapsed_s;
+    out.work = r.work;
+  };
+
   switch (algo) {
-    case Algo::kHashing: {
-      HashingPartitioner p(graph.num_nodes(), graph.total_node_weight(), pc);
-      out.state_bytes = p.state_bytes();
-      StreamResult r = run_one_pass(graph, p, options.threads);
-      out.assignment = std::move(r.assignment);
-      out.time_s = r.elapsed_s;
-      out.work = r.work;
+    case Algo::kHashing:
+      one_pass(HashingPartitioner(graph.num_nodes(), graph.total_node_weight(), pc));
       break;
-    }
-    case Algo::kLdg: {
-      LdgPartitioner p(graph.num_nodes(), graph.total_node_weight(), pc);
-      out.state_bytes = p.state_bytes();
-      StreamResult r = run_one_pass(graph, p, options.threads);
-      out.assignment = std::move(r.assignment);
-      out.time_s = r.elapsed_s;
-      out.work = r.work;
+    case Algo::kLdg:
+      one_pass(LdgPartitioner(graph.num_nodes(), graph.total_node_weight(), pc));
       break;
-    }
-    case Algo::kFennel: {
-      FennelPartitioner p(graph.num_nodes(), graph.num_edges(),
-                          graph.total_node_weight(), pc);
-      out.state_bytes = p.state_bytes();
-      StreamResult r = run_one_pass(graph, p, options.threads);
-      out.assignment = std::move(r.assignment);
-      out.time_s = r.elapsed_s;
-      out.work = r.work;
+    case Algo::kFennel:
+      one_pass(FennelPartitioner(graph.num_nodes(), graph.num_edges(),
+                                 graph.total_node_weight(), pc));
       break;
-    }
     case Algo::kOms:
     case Algo::kNhOms: {
       OmsConfig config;
@@ -91,21 +81,12 @@ SingleRun run_once(Algo algo, const CsrGraph& graph, const RunOptions& options,
       config.scorer = options.oms_use_ldg ? ScorerKind::kLdg : ScorerKind::kFennel;
       if (algo == Algo::kOms) {
         OMS_ASSERT_MSG(options.topology.has_value(), "OMS requires a topology");
-        OnlineMultisection p(graph.num_nodes(), graph.num_edges(),
-                             graph.total_node_weight(), *options.topology, config);
-        out.state_bytes = p.state_bytes();
-        StreamResult r = run_one_pass(graph, p, options.threads);
-        out.assignment = std::move(r.assignment);
-        out.time_s = r.elapsed_s;
-        out.work = r.work;
+        one_pass(OnlineMultisection(graph.num_nodes(), graph.num_edges(),
+                                    graph.total_node_weight(), *options.topology,
+                                    config));
       } else {
-        OnlineMultisection p(graph.num_nodes(), graph.num_edges(),
-                             graph.total_node_weight(), k, config);
-        out.state_bytes = p.state_bytes();
-        StreamResult r = run_one_pass(graph, p, options.threads);
-        out.assignment = std::move(r.assignment);
-        out.time_s = r.elapsed_s;
-        out.work = r.work;
+        one_pass(OnlineMultisection(graph.num_nodes(), graph.num_edges(),
+                                    graph.total_node_weight(), k, config));
       }
       break;
     }

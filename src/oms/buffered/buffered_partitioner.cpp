@@ -560,9 +560,7 @@ BufferedResult buffered_partition(const CsrGraph& graph, BlockId k,
   OMS_ASSERT(k >= 1);
   OMS_ASSERT(config.buffer_size >= 1);
   BufferedPartitioner core(graph.num_nodes(), graph.total_node_weight(), k, config);
-  PipelineConfig policy;
-  policy.ring_batches = 0;
-  return run_stream(graph, core, policy);
+  return run_stream(graph, core, in_memory_policy(graph, 1));
 }
 
 } // namespace oms

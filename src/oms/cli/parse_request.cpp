@@ -118,8 +118,7 @@ CliRequest parse_request(int argc, char** argv, const ExtraFlag& extra) {
     } else if (arg == "--from-disk") {
       req.from_disk = true;
     } else if (arg == "--pipeline") {
-      req.pipeline = true;
-      req.from_disk = true;
+      req.pipeline = true; // normalize() makes it imply from_disk
     } else if (arg == "--io-threads") {
       req.io_threads = int_value(arg, value);
     } else if (arg == "--watchdog-ms") {

@@ -73,9 +73,8 @@ struct StreamResult {
   StreamErrorStats skipped; ///< malformed lines skipped (disk, --on-error skip)
 };
 
-/// Stream \p graph in node-id order through \p assigner: run_stream over the
-/// graph with no reader thread when sequential, and otherwise one batch of
-/// ceil(n / threads) consecutive nodes per consumer thread.
+/// Stream \p graph in node-id order through \p assigner: run_stream under
+/// in_memory_policy(graph, num_threads) (stream/pipeline.hpp).
 /// \param num_threads 1 = sequential (deterministic); 0 = all hardware
 ///        threads; >1 = that many consumer threads. For other batch sizes,
 ///        call run_stream with PipelineConfig::batch_nodes.

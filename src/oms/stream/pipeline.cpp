@@ -345,17 +345,19 @@ EdgePartitionResult run_stream(std::span<const StreamedEdge> edges,
   return stream_edges(source, partitioner, policy);
 }
 
-StreamResult run_one_pass(const CsrGraph& graph, OnePassAssigner& assigner,
-                          int num_threads) {
+PipelineConfig in_memory_policy(const CsrGraph& graph, int num_threads) {
   PipelineConfig policy;
   policy.assign_threads = resolve_threads(num_threads);
   const auto threads = static_cast<std::size_t>(policy.assign_threads);
-  // Sequential: no reader thread. Parallel: the paper's decomposition, one
-  // contiguous run of nodes per thread.
   policy.ring_batches = threads == 1 ? 0 : threads;
   policy.batch_nodes =
       std::max<std::size_t>(1, (graph.num_nodes() + threads - 1) / threads);
-  return run_stream(graph, assigner, policy);
+  return policy;
+}
+
+StreamResult run_one_pass(const CsrGraph& graph, OnePassAssigner& assigner,
+                          int num_threads) {
+  return run_stream(graph, assigner, in_memory_policy(graph, num_threads));
 }
 
 EdgePartitionResult run_edge_partition(std::span<const StreamedEdge> edges,

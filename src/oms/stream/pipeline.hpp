@@ -120,6 +120,12 @@ struct PipelineConfig {
                                       OnePassAssigner& assigner,
                                       const PipelineConfig& policy);
 
+/// The policy for streaming \p graph on \p num_threads consumers (as
+/// run_one_pass does): no reader thread when that resolves to 1, and
+/// otherwise one batch of ceil(n / threads) consecutive nodes per consumer
+/// thread (the paper's decomposition).
+[[nodiscard]] PipelineConfig in_memory_policy(const CsrGraph& graph, int num_threads);
+
 /// Stream \p source or \p graph buffer by buffer through the buffered
 /// partitioner (one consumer; batch_nodes/batch_arcs do not apply). A file
 /// needs unit node weights — the balance bound must be known before the

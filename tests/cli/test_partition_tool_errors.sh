@@ -174,6 +174,8 @@ check_clean_error "zero window size" 2 \
   "$tool" "$tmpdir/good.graph" --k 2 --algo window --window-size 0
 check_clean_error "buffer size beyond the node-id range" 2 \
   "$tool" "$tmpdir/good.graph" --k 2 --algo buffered --buffer-size 99999999999
+check_clean_error "negative thread count" 2 \
+  "$tool" "$tmpdir/good.graph" --k 2 --threads -1
 
 # --- Buffered inner-engine selection ----------------------------------------
 

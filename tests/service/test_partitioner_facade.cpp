@@ -3,13 +3,16 @@
 ///        bit-identical to calling each legacy driver family directly —
 ///        pinned with the same golden fingerprints the core/buffered suites
 ///        use, across the in-memory, from-disk and pipelined routes — plus
-///        the artifact snapshot round trip and normalize()'s error contract.
+///        the artifact snapshot round trip, normalize()'s error contract
+///        (shared with the in-memory overload) and the in-memory thread rule.
 #include "oms/oms.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,8 @@
 #include "oms/edgepart/hdrf.hpp"
 #include "oms/graph/generators.hpp"
 #include "oms/graph/graph_builder.hpp"
+#include "oms/partition/metrics.hpp"
+#include "oms/partition/partition_config.hpp"
 #include "oms/stream/checkpoint.hpp"
 #include "oms/stream/one_pass_driver.hpp"
 #include "oms/stream/window_partitioner.hpp"
@@ -309,24 +314,10 @@ TEST(FacadeNormalize, RejectsContradictoryRequests) {
     req.graph_path = req.graph_path.empty() ? "/dev/null" : req.graph_path;
     EXPECT_THROW((void)Partitioner::normalize(req), InvalidRequest);
   };
-  reject({}); // no k, no hierarchy
-
+  // The problem checks both entry points share (no k, unknown or edge
+  // algorithm, bad tuning) are pinned message by message in
+  // BothEntryPointsShareTheProblemChecks.
   PartitionRequest req;
-  req.k = 4;
-  req.algo = "does-not-exist";
-  reject(req);
-
-  req = {};
-  req.k = 4;
-  req.algo = "hdrf"; // edge algorithm on the default metis format
-  reject(req);
-
-  req = {};
-  req.k = 4;
-  req.epsilon = -0.5;
-  reject(req);
-
-  req = {};
   req.k = 4;
   req.algo = "window";
   req.pipeline = true;
@@ -368,6 +359,118 @@ TEST(FacadeNormalize, ResolvesDefaultsAndFormat) {
   req.graph_path = "/dev/null";
   req.hierarchy = "2:3:4";
   EXPECT_EQ(Partitioner::normalize(req).k, 24);
+}
+
+/// The InvalidRequest message \p run throws, or "" if it throws none.
+[[nodiscard]] std::string rejection(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const InvalidRequest& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FacadeNormalize, BothEntryPointsShareTheProblemChecks) {
+  struct Case {
+    const char* label;
+    std::function<void(PartitionRequest&)> mutate;
+    std::string message;
+    /// Set where the in-memory overload names the problem differently: a
+    /// METIS request calls an edge algorithm a format mismatch.
+    std::string graph_message;
+  };
+  const std::vector<Case> cases = {
+      {"unknown algo", [](PartitionRequest& r) { r.algo = "does-not-exist"; },
+       "unknown --algo 'does-not-exist'", ""},
+      {"edge algo in memory", [](PartitionRequest& r) { r.algo = "hdrf"; },
+       "--algo hdrf needs --format edgelist",
+       "in-memory partitioning needs a node algorithm, not 'hdrf'"},
+      {"engine without buffered",
+       [](PartitionRequest& r) { r.buffered_engine = "multilevel"; },
+       "--buffered-engine requires --algo buffered", ""},
+      {"negative epsilon", [](PartitionRequest& r) { r.epsilon = -0.5; },
+       "--epsilon must be a finite value >= 0", ""},
+      {"no k", [](PartitionRequest& r) { r.k = 0; }, "need --k or --hierarchy", ""},
+      {"negative threads", [](PartitionRequest& r) { r.threads = -1; },
+       "--threads must be >= 0 (0 = all hardware threads)", ""},
+      {"negative io threads", [](PartitionRequest& r) { r.io_threads = -1; },
+       "--io-threads must be >= 0 (0 = all hardware threads)", ""},
+  };
+  const CsrGraph graph = testing::path_graph(16);
+  for (const Case& c : cases) {
+    PartitionRequest req;
+    req.graph_path = "/dev/null";
+    req.k = 4;
+    c.mutate(req);
+    EXPECT_EQ(rejection([&] { (void)Partitioner::normalize(req); }), c.message)
+        << c.label;
+    EXPECT_EQ(rejection([&] { (void)Partitioner().partition(graph, req); }),
+              c.graph_message.empty() ? c.message : c.graph_message)
+        << c.label;
+  }
+}
+
+TEST(FacadeNormalize, BoundsThreadCounts) {
+  // normalize() starts no thread, so the bounds themselves are safe to probe
+  // here (and only here).
+  PartitionRequest req;
+  req.graph_path = "/dev/null";
+  req.k = 4;
+  req.threads = kMaxThreads;
+  req.io_threads = 0; // all hardware threads
+  EXPECT_EQ(Partitioner::normalize(req).threads, kMaxThreads);
+
+  req.threads = kMaxThreads + 1;
+  EXPECT_EQ(rejection([&] { (void)Partitioner::normalize(req); }),
+            "--threads must be <= " + std::to_string(kMaxThreads));
+
+  req.threads = 1;
+  req.pipeline = true;
+  req.io_threads = kMaxThreads + 1;
+  EXPECT_EQ(rejection([&] { (void)Partitioner::normalize(req); }),
+            "--io-threads must be <= " + std::to_string(kMaxThreads));
+}
+
+// ---------------------------------------------------------------------------
+// The in-memory thread rule: ordered consumers (window, buffered) commit in
+// stream order and ignore --threads; the unordered one-pass assigners fan
+// out and may overshoot Lmax by at most one node per thread (Section 3.4).
+// ---------------------------------------------------------------------------
+
+TEST(FacadeInMemory, OrderedConsumersIgnoreThreads) {
+  const CsrGraph ba = gen::barabasi_albert(3000, 4, 21);
+  for (const char* algo : {"window", "buffered"}) {
+    PartitionRequest req = request_for(algo, 8);
+    req.window_size = 64;
+    req.buffer_size = 256;
+    const std::vector<BlockId> sequential = Partitioner().partition(ba, req).assignment;
+    req.threads = 4;
+    EXPECT_EQ(Partitioner().partition(ba, req).assignment, sequential) << algo;
+  }
+}
+
+TEST(FacadeInMemory, UnorderedConsumersStayWithinOvershootBound) {
+  const CsrGraph g = weighted_graph();
+  const BlockId k = 16;
+  const int threads = 2;
+  const NodeWeight lmax = max_block_weight(g.total_node_weight(), k, 0.03);
+  NodeWeight max_node_weight = 1;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    max_node_weight = std::max(max_node_weight, g.node_weight(u));
+  }
+  for (const char* algo : {"hashing", "fennel", "oms"}) {
+    PartitionRequest req = request_for(algo, k);
+    req.threads = threads;
+    const PartitionArtifact artifact = Partitioner().partition(g, req);
+    ASSERT_EQ(artifact.assignment.size(), g.num_nodes()) << algo;
+    for (const BlockId b : artifact.assignment) {
+      ASSERT_TRUE(b >= 0 && b < k) << algo << ": block " << b;
+    }
+    for (const NodeWeight w : block_weights_of(g, artifact.assignment, k)) {
+      EXPECT_LE(w, lmax + threads * max_node_weight) << algo;
+    }
+  }
 }
 
 TEST(FacadeNormalize, ResumeMismatchIsInvalidRequest) {
