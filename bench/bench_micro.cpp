@@ -158,8 +158,9 @@ void BM_MetisStreamRead(benchmark::State& state) {
 BENCHMARK(BM_MetisStreamRead);
 
 void BM_ReadMetis(benchmark::State& state) {
-  // In-memory load: read_metis of the shared graph's file, which drains the
-  // same parser into GraphBuilder and assembles the CSR. Items are arcs.
+  // In-memory load: read_metis of the shared graph's file, which parses it
+  // with the same parser and keeps the canonical rows as the CSR (this file
+  // never needs GraphBuilder). Items are arcs.
   const std::string path = "/tmp/oms_bench_micro_read." +
                            std::to_string(::getpid()) + ".graph";
   write_metis(shared_graph(), path);

@@ -10,8 +10,10 @@
 /// it counts both arc directions per node, scatters the arcs into their CSR
 /// rows in insertion order, and merges parallel arcs row by row. A row is
 /// sorted only when its arcs are not already ascending, which they are
-/// whenever the edges were added in ascending (u, v) order, as read_metis
-/// adds them from a file with sorted adjacency lists.
+/// whenever the edges were added in ascending (u, v) order. read_metis
+/// needs the builder only for files whose rows are not already canonical
+/// (unsorted, duplicate, self-looped or asymmetric rows); it feeds it each
+/// row's arcs to higher ids, in file order.
 #pragma once
 
 #include <vector>

@@ -15,9 +15,13 @@ namespace oms {
 void write_metis(const CsrGraph& graph, const std::string& path);
 
 /// Read a METIS file produced by write_metis (or any well-formed METIS graph
-/// with fmt in {"", "0", "1", "10", "11"}) into memory. It drains a
-/// MetisNodeStream (stream/metis_stream.hpp), so both routes accept the same
-/// files. Throws oms::IoError (with file:line position) on unopenable paths
+/// with fmt in {"", "0", "1", "10", "11"}) into memory. It parses the file
+/// with a MetisNodeStream (stream/metis_stream.hpp), so both routes accept
+/// the same files. Rows that are already canonical (strictly ascending, no
+/// self-loop, every arc listed back with the same weight) become the CSR as
+/// parsed; any other file goes through GraphBuilder, fed each edge from its
+/// lower endpoint, which sorts rows, sums duplicates, drops self-loops and
+/// symmetrizes. Throws oms::IoError (with file:line position) on unopenable paths
 /// and malformed content — bad header, non-numeric token, out-of-range
 /// neighbor, missing or out-of-range weight (edge weights must be >= 1, node
 /// weights >= 0), edge count disagreeing with the header.

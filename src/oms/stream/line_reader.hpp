@@ -3,7 +3,13 @@
 ///        parsers (METIS node stream, SNAP edge-list stream).
 ///
 /// One reusable chunk buffer, lines located with memchr, integers parsed in
-/// place — no per-line getline, no per-line string copies. Malformed
+/// place — no per-line getline, no per-line string copies.
+///
+/// Terminator contract: the byte just past every line next_line() returns is
+/// readable and is neither a digit nor a blank. It is the line's '\n'; for a
+/// final line without one, the reader writes a '\n' into the byte of slack
+/// that refill() always leaves after the data. IntScanner relies on it to
+/// scan blanks and digits without testing for the end of the line. Malformed
 /// *content* is the caller's concern; this layer only raises oms::IoError
 /// for I/O-level failures (unopenable file, read error). Transient read
 /// failures (EINTR/EAGAIN, or an injected FaultSite::kReadTransient) are
@@ -28,8 +34,10 @@
 
 namespace oms {
 
-/// Whitespace-separated integer scanner over one borrowed line. Non-numeric
-/// bytes are a *content* error, reported through the caller's error handler.
+/// Whitespace-separated integer scanner over one line returned by
+/// BufferedLineReader::next_line (whose terminator stops every scan loop).
+/// Non-numeric bytes are a *content* error, reported through the caller's
+/// error handler.
 class IntScanner {
 public:
   explicit IntScanner(std::string_view line) noexcept
@@ -39,27 +47,22 @@ public:
   /// \p on_error is invoked (and must not return) on a malformed token.
   template <typename OnError>
   bool next(std::int64_t& out, OnError&& on_error) {
-    while (cur_ < end_ && (*cur_ == ' ' || *cur_ == '\t' || *cur_ == '\r')) {
+    while (*cur_ == ' ' || *cur_ == '\t' || *cur_ == '\r') {
       ++cur_;
     }
     if (cur_ >= end_) {
       return false;
     }
-    // Fast path: bare digit runs (every token of a well-formed file). Up to
-    // 18 digits cannot overflow int64, so the accumulation needs no
-    // per-digit checks; signs and longer runs fall back to from_chars for
-    // identical semantics including range errors.
+    // Fast path: bare digit runs (every token of a well-formed file). The
+    // terminator ends the run, so the loop tests nothing but the digit; up
+    // to 18 digits cannot overflow int64. Signs, longer runs and junk fall
+    // back to from_chars for identical semantics including range errors.
     std::uint64_t value = 0;
     const char* p = cur_;
-    while (p < end_ && p - cur_ < 18) {
-      const unsigned digit = static_cast<unsigned>(*p) - '0';
-      if (digit > 9) {
-        break;
-      }
+    for (unsigned digit; (digit = static_cast<unsigned>(*p) - '0') <= 9; ++p) {
       value = value * 10 + digit;
-      ++p;
     }
-    if (p > cur_ && (p == end_ || (static_cast<unsigned>(*p) - '0') > 9)) {
+    if (p > cur_ && p - cur_ <= 18) {
       out = static_cast<std::int64_t>(value);
       cur_ = p;
       return true;
@@ -127,6 +130,7 @@ public:
       }
       if (eof_) {
         if (pos_ < end_) { // final line without a trailing newline
+          buffer_[end_] = '\n'; // its terminator, in refill()'s slack byte
           line = std::string_view(buffer_.data() + pos_, end_ - pos_);
           pos_ = end_;
           scanned_ = 0;
@@ -168,7 +172,8 @@ private:
     void operator()(std::FILE* f) const noexcept { std::fclose(f); }
   };
 
-  /// Slide the unconsumed tail to the front and read another chunk.
+  /// Slide the unconsumed tail to the front and read another chunk, leaving
+  /// at least one byte of slack after the data for a final line's terminator.
   void refill() {
     if (pos_ > 0) {
       std::memmove(buffer_.data(), buffer_.data() + pos_, end_ - pos_);
@@ -176,10 +181,10 @@ private:
       end_ -= pos_;
       pos_ = 0;
     }
-    if (end_ == buffer_.size()) {
+    if (end_ + 1 == buffer_.size()) {
       buffer_.resize(buffer_.size() * 2); // line longer than the buffer: grow
     }
-    const std::size_t got = read_with_retry(buffer_.size() - end_);
+    const std::size_t got = read_with_retry(buffer_.size() - end_ - 1);
     if (got == 0) {
       eof_ = true;
       return;

@@ -8,9 +8,11 @@
 /// batches in flight (one on the sequential route), never the whole graph.
 ///
 /// The reader pulls raw chunks into one reusable buffer and parses integers
-/// in place with std::from_chars — no per-line getline, no per-line string
-/// copies. It is the library's only METIS parser: read_metis (graph/io.hpp)
-/// drains it into a GraphBuilder. Malformed *content* (bad header,
+/// in place (stream/line_reader.hpp) — no per-line getline, no per-line
+/// string copies. It is the library's only METIS parser: read_metis
+/// (graph/io.hpp) parses the whole file into one NodeBatch with fill_batch,
+/// whose storage becomes the CSR directly when the rows are canonical
+/// (GraphBuilder assembles it otherwise). Malformed *content* (bad header,
 /// out-of-range neighbor, missing node or edge weight, an edge weight below
 /// 1, a negative node weight, non-numeric token) raises oms::ContentError
 /// with the file position, so CLIs fail cleanly instead of aborting.

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "oms/graph/csr_graph.hpp"
@@ -37,6 +38,29 @@ public:
     neighbors_.clear();
     edge_weights_.clear();
     view_owned();
+  }
+
+  /// Room for \p nodes nodes and \p arcs adjacency entries in the owned
+  /// storage, kept across reset(): a parse of known size never regrows it.
+  void reserve(std::size_t nodes, std::size_t arcs) {
+    weights_.reserve(nodes);
+    offsets_.reserve(nodes + 1);
+    neighbors_.reserve(arcs);
+    edge_weights_.reserve(arcs);
+  }
+
+  /// The owned storage, moved out: it already has the layout of a CSR graph
+  /// (offsets = xadj, weights = vwgt, neighbors = adjncy, edge weights =
+  /// adjwgt) when the batch was filled from node 0.
+  struct Storage {
+    std::vector<EdgeIndex> offsets;
+    std::vector<NodeWeight> weights;
+    std::vector<NodeId> neighbors;
+    std::vector<EdgeWeight> edge_weights;
+  };
+  [[nodiscard]] Storage release() && {
+    return {std::move(offsets_), std::move(weights_), std::move(neighbors_),
+            std::move(edge_weights_)};
   }
 
   /// The parser appends one node's adjacency directly into these sinks (no

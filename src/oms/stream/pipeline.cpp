@@ -347,8 +347,12 @@ EdgePartitionResult run_stream(std::span<const StreamedEdge> edges,
 
 PipelineConfig in_memory_policy(const CsrGraph& graph, int num_threads) {
   PipelineConfig policy;
-  policy.assign_threads = resolve_threads(num_threads);
-  const auto threads = static_cast<std::size_t>(policy.assign_threads);
+  // No more consumers than nodes: a thread per requested consumer would
+  // leave the extra ones without a batch.
+  const auto threads = std::min<std::size_t>(
+      static_cast<std::size_t>(resolve_threads(num_threads)),
+      std::max<std::size_t>(graph.num_nodes(), 1));
+  policy.assign_threads = static_cast<int>(threads);
   policy.ring_batches = threads == 1 ? 0 : threads;
   policy.batch_nodes =
       std::max<std::size_t>(1, (graph.num_nodes() + threads - 1) / threads);

@@ -121,9 +121,9 @@ struct PipelineConfig {
                                       const PipelineConfig& policy);
 
 /// The policy for streaming \p graph on \p num_threads consumers (as
-/// run_one_pass does): no reader thread when that resolves to 1, and
-/// otherwise one batch of ceil(n / threads) consecutive nodes per consumer
-/// thread (the paper's decomposition).
+/// run_one_pass does), clamped to the node count: no reader thread when
+/// that resolves to 1, and otherwise one batch of ceil(n / threads)
+/// consecutive nodes per consumer thread (the paper's decomposition).
 [[nodiscard]] PipelineConfig in_memory_policy(const CsrGraph& graph, int num_threads);
 
 /// Stream \p source or \p graph buffer by buffer through the buffered

@@ -152,6 +152,84 @@ TEST(EdgeListStream, RewindReplaysTheStream) {
   std::remove(path.c_str());
 }
 
+// Tokenizer edges. The scanner relies on the reader's line terminator
+// instead of bounds checks, so each case runs at buffer sizes around the
+// 64-byte floor: behind a 60-byte comment, lines and tokens straddle refills
+// at a different byte for each size.
+
+constexpr std::size_t kTinyBuffers[] = {1, 64, 65, 66, 67, 70, 77, 96, 130};
+
+/// Stream "<60-byte comment>\n" + \p body (so the body starts on line 2)
+/// at buffer size \p buffer. Renders the edges as "u-v/w" separated by "|",
+/// or the error message with the path cut off.
+std::string drain_rendered(const std::string& body, std::size_t buffer) {
+  const std::string path = temp_path("oms_es_tokens.edgelist");
+  write_text(path, "#" + std::string(58, '-') + "\n" + body);
+  std::string out;
+  try {
+    EdgeListStream stream(path, buffer);
+    for (const StreamedEdge& e : drain(stream)) {
+      if (!out.empty()) {
+        out += '|';
+      }
+      out += std::to_string(e.u) + "-" + std::to_string(e.v) + "/" +
+             std::to_string(e.weight);
+    }
+  } catch (const IoError& e) {
+    const std::string what = e.what();
+    out = what.rfind(path, 0) == 0 ? what.substr(path.size()) : what;
+  }
+  std::remove(path.c_str());
+  return out;
+}
+
+void expect_rendered(const std::string& body, const std::string& expected) {
+  for (const std::size_t buffer : kTinyBuffers) {
+    EXPECT_EQ(drain_rendered(body, buffer), expected) << "buffer=" << buffer;
+  }
+}
+
+TEST(EdgeListTokenizer, FinalLineWithoutNewline) {
+  expect_rendered("0 1\n2 3 7", "0-1/1|2-3/7");
+  expect_rendered("0 1\n4294967294 3 123456", "0-1/1|4294967294-3/123456");
+  expect_rendered("0 1\n2 3x", ":3: malformed integer token in edge line");
+  expect_rendered("0 1\n2", ":3: truncated edge line (one endpoint)");
+}
+
+TEST(EdgeListTokenizer, EighteenToTwentyDigitTokens) {
+  expect_rendered("0 1 123456789012345678\n1 2 9223372036854775807\n",
+                  "0-1/123456789012345678|1-2/9223372036854775807");
+  expect_rendered("0000000000000000000007 00000000000000000000000009\n", "7-9/1");
+  expect_rendered("0 123456789012345678\n",
+                  ":2: endpoint id out of range [0, 4294967294]");
+  expect_rendered("1234567890123456789 0\n",
+                  ":2: endpoint id out of range [0, 4294967294]");
+  expect_rendered("0 1 9223372036854775808\n",
+                  ":2: malformed integer token in edge line");
+  expect_rendered("12345678901234567890 0\n",
+                  ":2: malformed integer token in edge line");
+}
+
+TEST(EdgeListTokenizer, NegativeAndSignedTokens) {
+  expect_rendered("-1 4\n", ":2: endpoint id out of range [0, 4294967294]");
+  expect_rendered("0 1 -3\n", ":2: non-positive edge weight -3");
+  expect_rendered("0 +1\n", ":2: malformed integer token in edge line");
+  expect_rendered("0 1 -\n", ":2: malformed integer token in edge line");
+}
+
+TEST(EdgeListTokenizer, TabsAndCarriageReturns) {
+  expect_rendered("0\t1\r\n2 3\t9\r\n\t\r\n4\t5 \r", "0-1/1|2-3/9|4-5/1");
+  expect_rendered("\r\n\t \r\n1 2\r\n", "1-2/1");
+}
+
+TEST(EdgeListTokenizer, DigitRunFollowedByJunk) {
+  // "12x": the run is a token of its own, and the junk fails the next one.
+  expect_rendered("0 12x\n", ":2: malformed integer token in edge line");
+  expect_rendered("12x 0\n", ":2: malformed integer token in edge line");
+  expect_rendered("0 1 5x\n", ":2: malformed integer token in edge line");
+  expect_rendered("0 1-2\n", ":2: non-positive edge weight -2");
+}
+
 // IoError channel: malformed *content* must raise, not abort.
 
 TEST(EdgeListStreamError, UnopenablePath) {

@@ -177,6 +177,100 @@ TEST(MetisBuffered, LineLongerThanBufferGrowsTransparently) {
 }
 
 // ---------------------------------------------------------------------------
+// Tokenizer edges. The scanner relies on the reader's line terminator
+// instead of bounds checks, so each case runs at buffer sizes around the
+// 64-byte floor: behind a 60-byte comment, lines and tokens straddle refills
+// at a different byte for each size.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kTinyBuffers[] = {1, 64, 65, 66, 67, 70, 77, 96, 130};
+
+/// Stream "<60-byte comment>\n" + \p body (so the body starts on line 2)
+/// at buffer size \p buffer. Renders each node as "w:<weight> <neighbor>/<edge
+/// weight>..." separated by "|", or the error message with the path cut off.
+std::string drain_rendered(const std::string& body, std::size_t buffer) {
+  const std::string path = temp_path("oms_buffered_tokens.graph");
+  write_text(path, "%" + std::string(58, '-') + "\n" + body);
+  std::string out;
+  try {
+    MetisNodeStream stream(path, buffer);
+    StreamedNode node{};
+    while (stream.next(node)) {
+      out += out.empty() ? "w:" : "|w:";
+      out += std::to_string(node.weight);
+      for (std::size_t i = 0; i < node.neighbors.size(); ++i) {
+        out += ' ';
+        out += std::to_string(node.neighbors[i] + 1);
+        out += '/';
+        out += std::to_string(node.edge_weights[i]);
+      }
+    }
+  } catch (const IoError& e) {
+    const std::string what = e.what();
+    out = what.rfind(path, 0) == 0 ? what.substr(path.size()) : what;
+  }
+  std::remove(path.c_str());
+  return out;
+}
+
+void expect_rendered(const std::string& body, const std::string& expected) {
+  for (const std::size_t buffer : kTinyBuffers) {
+    EXPECT_EQ(drain_rendered(body, buffer), expected) << "buffer=" << buffer;
+  }
+}
+
+TEST(MetisTokenizer, FinalLineWithoutNewline) {
+  expect_rendered("3 3\n2 3\n1 3\n1 2", "w:1 2/1 3/1|w:1 1/1 3/1|w:1 1/1 2/1");
+  expect_rendered("2 1 11\n7 2 123456\n8 1 123456",
+                  "w:7 2/123456|w:8 1/123456");
+  expect_rendered("2 1\n2\n1x", ":4: malformed integer token");
+  expect_rendered("2 1\n2\n-1", ":4: neighbor id -1 out of range [1, 2]");
+}
+
+TEST(MetisTokenizer, EighteenToTwentyDigitTokens) {
+  // Up to 18 digits take the fast path; longer runs go through from_chars,
+  // which accepts anything that fits int64 (leading zeros included).
+  expect_rendered("2 1 10\n123456789012345678 2\n999999999999999999 1",
+                  "w:123456789012345678 2/1|w:999999999999999999 1/1");
+  expect_rendered("2 1 10\n9223372036854775807 2\n0000000000000000000042 1\n",
+                  "w:9223372036854775807 2/1|w:42 1/1");
+  expect_rendered("2 1\n000000000000000000002\n1\n", "w:1 2/1|w:1 1/1");
+  expect_rendered("2 1\n123456789012345678\n1\n",
+                  ":3: neighbor id 123456789012345678 out of range [1, 2]");
+  expect_rendered("2 1\n9223372036854775807\n1\n",
+                  ":3: neighbor id 9223372036854775807 out of range [1, 2]");
+  expect_rendered("2 1\n9223372036854775808\n1\n", ":3: malformed integer token");
+  expect_rendered("2 1\n12345678901234567890\n1\n", ":3: malformed integer token");
+  expect_rendered("2 1 1\n2 12345678901234567890\n1 1\n",
+                  ":3: malformed integer token");
+  expect_rendered("12345678901234567890 1\n", ":2: malformed METIS header");
+}
+
+TEST(MetisTokenizer, NegativeAndSignedTokens) {
+  expect_rendered("2 1\n-2\n1\n", ":3: neighbor id -2 out of range [1, 2]");
+  expect_rendered("2 1 10\n-1 2\n1 1\n", ":3: node weight -1 is negative");
+  expect_rendered("2 1 1\n2 -3\n1 -3\n", ":3: edge weight -3 is not positive");
+  expect_rendered("2 1\n+2\n1\n", ":3: malformed integer token");
+  expect_rendered("2 1\n-\n1\n", ":3: malformed integer token");
+  expect_rendered("-2 1\n", ":2: negative sizes in METIS header");
+}
+
+TEST(MetisTokenizer, TabsAndCarriageReturns) {
+  expect_rendered("2 1\r\n2\t\r\n\t1 \r\n", "w:1 2/1|w:1 1/1");
+  expect_rendered("2\t1\t11\r\n3\t2\t5\r\n4 1 5\r", "w:3 2/5|w:4 1/5");
+  expect_rendered("2 1\r\n\t\r\n\r\n", "w:1|w:1");
+}
+
+TEST(MetisTokenizer, DigitRunFollowedByJunk) {
+  // "12x": the run is a token of its own, and the junk fails the next one.
+  expect_rendered("2 1\n2\n1x\n", ":4: malformed integer token");
+  expect_rendered("20 1\n12x\n", ":3: malformed integer token");
+  expect_rendered("2 1 1\n2 3x\n1 3\n", ":3: malformed integer token");
+  expect_rendered("2x 1\n", ":2: malformed METIS header");
+  expect_rendered("2 1\n2-1\n1\n", ":3: neighbor id -1 out of range [1, 2]");
+}
+
+// ---------------------------------------------------------------------------
 // IoError channel: malformed *content* must raise, not abort.
 // ---------------------------------------------------------------------------
 

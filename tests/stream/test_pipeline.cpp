@@ -162,6 +162,35 @@ TEST(Pipeline, InMemorySourcesRejectCheckpointAndResume) {
   EXPECT_FALSE(std::ifstream(path).good()) << "no snapshot may be written";
 }
 
+TEST(Pipeline, InMemoryPolicyClampsConsumersToNodes) {
+  // Only the returned policy is inspected: no thread is started.
+  GraphBuilder six(6);
+  for (NodeId u = 0; u + 1 < 6; ++u) {
+    six.add_edge(u, u + 1);
+  }
+  const CsrGraph g = std::move(six).build();
+  const PipelineConfig clamped = in_memory_policy(g, 64);
+  EXPECT_EQ(clamped.assign_threads, 6);
+  EXPECT_EQ(clamped.ring_batches, 6u);
+  EXPECT_EQ(clamped.batch_nodes, 1u);
+
+  const PipelineConfig exact = in_memory_policy(g, 6);
+  EXPECT_EQ(exact.assign_threads, 6);
+  EXPECT_EQ(exact.ring_batches, 6u);
+  EXPECT_EQ(exact.batch_nodes, 1u);
+
+  const PipelineConfig fewer = in_memory_policy(g, 4); // n >= threads: as before
+  EXPECT_EQ(fewer.assign_threads, 4);
+  EXPECT_EQ(fewer.ring_batches, 4u);
+  EXPECT_EQ(fewer.batch_nodes, 2u);
+
+  const CsrGraph empty = GraphBuilder(0).build();
+  const PipelineConfig none = in_memory_policy(empty, 64);
+  EXPECT_EQ(none.assign_threads, 1);
+  EXPECT_EQ(none.ring_batches, 0u);
+  EXPECT_EQ(none.batch_nodes, 1u);
+}
+
 TEST(Pipeline, CommentsIsolatedNodesAndMissingTrailingLines) {
   // The batch boundary must not disturb the line-level quirks of the format.
   const std::string path = temp_path("oms_pipeline_quirks.graph");
