@@ -156,6 +156,14 @@ void print_summary(const oms::PartitionRequest& req,
     std::cout << "streamed " << artifact.num_nodes << " nodes from disk"
               << (req.pipeline ? " (pipelined)" : "") << " (peak RSS "
               << oms::peak_rss_bytes() / (1024 * 1024) << " MB)\n";
+    // Counted while assigning; absent (-1) after several consumers, a
+    // resume, a skipped line or a consumer that does not count.
+    if (artifact.metrics.edge_cut >= 0.0) {
+      std::cout << "edge-cut:  " << artifact.metrics.edge_cut << "\n";
+    }
+    if (artifact.hierarchy.has_value() && artifact.metrics.mapping_j >= 0.0) {
+      std::cout << "mapping J: " << artifact.metrics.mapping_j << "\n";
+    }
     std::cout << "assignment time: " << artifact.elapsed_s << " s (total "
               << total_s << " s)\n";
     print_work_line(artifact.work);

@@ -26,11 +26,14 @@
 
 namespace oms {
 
-/// Quality metrics of the run. Streaming entry points never materialize the
-/// graph, so graph-dependent metrics are only available from the in-memory
-/// path; -1 marks "not computed".
+/// Quality metrics of the run; -1 marks "not computed". Node runs take the
+/// cut and J that the consumer counted while assigning (StreamResult), or,
+/// in memory, evaluate the loaded graph. Streaming entry points never
+/// materialize the graph, so there -1 means a concurrent, resumed, skipped
+/// (--on-error skip hit a line) or non-counting run (hashing, window,
+/// buffered; J also for the flat algorithms).
 struct ArtifactMetrics {
-  double edge_cut = -1.0;           ///< node partitions, in-memory runs
+  double edge_cut = -1.0;           ///< node partitions
   double imbalance = -1.0;          ///< node partitions, in-memory runs
   double mapping_j = -1.0;          ///< node partitions with a hierarchy
   double replication_factor = -1.0; ///< edge partitions

@@ -360,6 +360,13 @@ struct NodeSourceShape { NodeId n; EdgeIndex m; NodeWeight total_weight; };
   return artifact;
 }
 
+/// Gauges are unsigned; a negative-weight graph's quality stays unpublished.
+void set_quality_gauge(telemetry::Gauge gauge, Cost value) {
+  if (value >= 0) {
+    telemetry::gauge_set(gauge, static_cast<std::uint64_t>(value));
+  }
+}
+
 /// Load --resume and check it against the consumer about to continue it: a
 /// checkpoint from a different algorithm, k, seed or graph is a usage error
 /// (InvalidRequest), not a mid-stream IoError.
@@ -424,22 +431,38 @@ template <typename Source>
     artifact.skip_stats = std::move(result.skipped);
     return result;
   };
+  std::optional<Cost> cut;
+  std::optional<Cost> cost;
   if (plan.algo->id == Algo::kBuffered) {
     const BufferedConfig bc = buffered_config(plan);
     artifact.algo = buffered_checkpoint_algo_id(bc);
     BufferedPartitioner core(shape.n, shape.total_weight, plan.req.k, bc);
     run(core);
   } else {
-    artifact.work = run(*make_assigner(plan, shape)).work;
+    const StreamResult result = run(*make_assigner(plan, shape));
+    artifact.work = result.work;
+    cut = result.edge_cut;
+    cost = result.mapping_j;
   }
+  // Quality: what the consumer counted at assign time where run_stream
+  // vouches for it, else a pass over a loaded graph; a file stream has no
+  // graph to pass over and keeps -1.
   if constexpr (kGraph) {
-    artifact.metrics.edge_cut =
-        static_cast<double>(edge_cut(source, artifact.assignment));
-    artifact.metrics.imbalance = imbalance(source, artifact.assignment, plan.req.k);
-    if (plan.topo.has_value()) {
-      artifact.metrics.mapping_j = static_cast<double>(
-          mapping_cost(source, *plan.topo, artifact.assignment, plan.req.threads));
+    if (!cut.has_value()) {
+      cut = edge_cut(source, artifact.assignment);
     }
+    if (plan.topo.has_value() && !cost.has_value()) {
+      cost = mapping_cost(source, *plan.topo, artifact.assignment, plan.req.threads);
+    }
+    artifact.metrics.imbalance = imbalance(source, artifact.assignment, plan.req.k);
+  }
+  if (cut.has_value()) {
+    artifact.metrics.edge_cut = static_cast<double>(*cut);
+    set_quality_gauge(telemetry::Gauge::kQualityEdgeCut, *cut);
+  }
+  if (plan.topo.has_value() && cost.has_value()) {
+    artifact.metrics.mapping_j = static_cast<double>(*cost);
+    set_quality_gauge(telemetry::Gauge::kQualityMappingJ, *cost);
   }
   artifact.rebuild_tree();
   return artifact;

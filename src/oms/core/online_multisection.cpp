@@ -34,25 +34,38 @@ OnlineMultisection::OnlineMultisection(NodeId num_nodes, EdgeIndex num_edges,
                                        const OmsConfig& config)
     : OnlineMultisection(
           num_nodes, num_edges, total_node_weight,
-          MultisectionTree::regular(topology.extents_top_down()), config) {}
+          MultisectionTree::regular(topology.extents_top_down()), topology, config) {}
 
 OnlineMultisection::OnlineMultisection(NodeId num_nodes, EdgeIndex num_edges,
                                        NodeWeight total_node_weight, BlockId k,
                                        const OmsConfig& config)
     : OnlineMultisection(num_nodes, num_edges, total_node_weight,
-                         MultisectionTree::b_section(k, config.base), config) {}
+                         MultisectionTree::b_section(k, config.base), std::nullopt,
+                         config) {}
 
 OnlineMultisection::OnlineMultisection(NodeId num_nodes, EdgeIndex num_edges,
                                        NodeWeight total_node_weight,
-                                       MultisectionTree tree, const OmsConfig& config)
+                                       MultisectionTree tree,
+                                       std::optional<SystemHierarchy> topology,
+                                       const OmsConfig& config)
     : tree_(make_finalized_tree(std::move(tree), num_nodes, num_edges,
                                 total_node_weight, config)),
       config_(config),
       assignment_(num_nodes),
       weights_(tree_.num_blocks()),
-      sqrt_(tree_.root().capacity) {
+      sqrt_(tree_.root().capacity),
+      topology_(std::move(topology)),
+      split_distance_(static_cast<std::size_t>(tree_.height()), 0) {
   for (std::size_t id = 0; id < tree_.num_blocks(); ++id) {
     max_children_ = std::max(max_children_, tree_.block(id).num_children);
+  }
+  if (topology_.has_value()) {
+    // regular() spends one extent per depth, outermost first, so a parent
+    // of depth i splits a level-(l - i) module.
+    const std::vector<std::int64_t>& distances = topology_->distances();
+    for (std::size_t depth = 0; depth < split_distance_.size(); ++depth) {
+      split_distance_[depth] = distances[distances.size() - 1 - depth];
+    }
   }
 }
 
@@ -131,6 +144,13 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
   // place as each layer narrows the subtree.
   std::size_t frontier = 0;
   bool frontier_built = false;
+  // Assign-time quality (counted_quality): `inside` is the frontier's edge
+  // weight. What a quality layer does not pass on to the chosen child splits
+  // from node at this parent, so it is cut and pays the parent's distance.
+  EdgeWeight inside = 0;
+  Cost cut = 0;
+  Cost cost = 0;
+  const MultisectionTree::Block* hashed_below = nullptr; // hybrid: see below
 
   std::size_t current = 0; // root
   while (!tree_.block(current).is_leaf()) {
@@ -165,6 +185,7 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
           }
           const EdgeWeight w = node.edge_weights[i];
           gather(leaf, w);
+          inside += w;
           scratch.leaves[frontier] = leaf;
           scratch.edge_weights[frontier] = w;
           ++frontier;
@@ -201,11 +222,19 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
                           std::span<const EdgeWeight>(gathered, children), scorer,
                           current, scratch.key_scratch.data(), counters);
     }
+    const std::size_t child_id = first + static_cast<std::size_t>(choice);
+    if (scorer != ScorerKind::kHashing) {
+      const EdgeWeight split = inside - gathered[static_cast<std::size_t>(choice)];
+      cut += split;
+      cost += split * split_distance_[static_cast<std::size_t>(parent.depth)];
+      inside -= split;
+    } else if (frontier_built && hashed_below == nullptr) {
+      hashed_below = &parent;
+    }
     for (std::size_t t = 0; t < num_touched; ++t) {
       gathered[static_cast<std::size_t>(touched[t])] = 0;
     }
 
-    const std::size_t child_id = first + static_cast<std::size_t>(choice);
     weights.add(child_id, node.weight);
     if (min_tree) {
       min_tree_of(parent).update(choice, [weights, first](std::int32_t i) {
@@ -217,8 +246,30 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
   }
 
   const BlockId final_block = tree_.block(current).leaf_begin;
+  if (hashed_below != nullptr) {
+    charge_survivors(*hashed_below, scratch, frontier, final_block, cut, cost);
+  }
+  counters.cut += cut;
+  counters.mapping_j += cost;
   assignment_.store(node.id, final_block);
   return final_block;
+}
+
+void OnlineMultisection::charge_survivors(const MultisectionTree::Block& hashed,
+                                          const DescentScratch& scratch,
+                                          std::size_t frontier, BlockId final_block,
+                                          Cost& cut, Cost& cost) const {
+  for (std::size_t i = 0; i < frontier; ++i) {
+    const BlockId leaf = scratch.leaves[i];
+    if (leaf < hashed.leaf_begin || leaf >= hashed.leaf_end || leaf == final_block) {
+      continue;
+    }
+    const EdgeWeight w = scratch.edge_weights[i];
+    cut += w;
+    if (topology_.has_value()) {
+      cost += w * topology_->distance(leaf, final_block);
+    }
+  }
 }
 
 template <typename WeightsView>

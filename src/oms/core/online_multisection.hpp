@@ -15,6 +15,7 @@
 ///    time O((m + n b) log_b k) (Theorem 4) instead of Fennel's O(m + n k).
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -54,6 +55,14 @@ public:
   [[nodiscard]] std::vector<BlockId> take_assignment() override {
     return assignment_.take();
   }
+  /// The cut, plus J in OMS mode; nothing when the root layer is hashed
+  /// (quality_layers < 1), since then no layer reads the neighbourhood.
+  [[nodiscard]] QualityCount counted_quality() const noexcept override {
+    if (config_.quality_layers < 1) {
+      return QualityCount::kNone;
+    }
+    return topology_.has_value() ? QualityCount::kCutAndCost : QualityCount::kCut;
+  }
 
   // --- introspection ----------------------------------------------------
   [[nodiscard]] const MultisectionTree& tree() const noexcept { return tree_; }
@@ -86,7 +95,7 @@ public:
 private:
   OnlineMultisection(NodeId num_nodes, EdgeIndex num_edges,
                      NodeWeight total_node_weight, MultisectionTree tree,
-                     const OmsConfig& config);
+                     std::optional<SystemHierarchy> topology, const OmsConfig& config);
 
   /// The descent body, stamped out per weight layout so the per-child weight
   /// loads carry a compile-time stride (a runtime stride measurably slows
@@ -159,6 +168,15 @@ private:
     std::vector<std::int32_t> key_scratch; // pick_child's sparse key scan
   };
 
+  /// Hybrid descents (quality_layers < height): adds the cut and J of the
+  /// \p frontier entries inside \p hashed, the first hashed parent, which
+  /// reached the last quality layer's child together with the node. Out of
+  /// line, so the descent's hot loop stays as small as before the count.
+  [[gnu::noinline]] void charge_survivors(const MultisectionTree::Block& hashed,
+                                          const DescentScratch& scratch,
+                                          std::size_t frontier, BlockId final_block,
+                                          Cost& cut, Cost& cost) const;
+
   MultisectionTree tree_;
   OmsConfig config_;
   AssignmentArray assignment_;
@@ -171,6 +189,11 @@ private:
   /// iff trees_live_ (sequential passes).
   std::vector<std::int32_t> min_trees_;
   bool trees_live_ = false;
+  // Assign-time quality (counted_quality); kept behind the descent's state.
+  std::optional<SystemHierarchy> topology_; ///< OMS mode only
+  /// Distance between two PEs whose deepest common tree block has depth i:
+  /// they meet at hierarchy level num_levels() - i. All zero in nh-OMS mode.
+  std::vector<Cost> split_distance_;
 };
 
 } // namespace oms

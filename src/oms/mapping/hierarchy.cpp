@@ -20,6 +20,10 @@ SystemHierarchy::SystemHierarchy(std::vector<std::int64_t> extents,
   const std::int64_t k = prefix_products_.back();
   OMS_ASSERT_MSG(k >= 1 && k <= (std::int64_t{1} << 30), "unreasonable PE count");
   num_pes_ = static_cast<BlockId>(k);
+  // Every module size divides k <= 2^30, so PE ids and divisors fit 32 bits.
+  for (const std::int64_t size : prefix_products_) {
+    module_div_.push_back(FastDiv32::of(static_cast<std::uint32_t>(size)));
+  }
 }
 
 SystemHierarchy SystemHierarchy::parse(const std::string& extents,

@@ -15,6 +15,7 @@
 
 #include "oms/types.hpp"
 #include "oms/util/assert.hpp"
+#include "oms/util/fastdiv.hpp"
 
 namespace oms {
 
@@ -48,21 +49,30 @@ public:
     return prefix_products_[level];
   }
 
-  /// Communication distance between PEs x and y (0 if x == y, else d_j for
-  /// the smallest level j whose module contains both). O(l).
-  [[nodiscard]] std::int64_t distance(BlockId x, BlockId y) const noexcept {
+  /// The smallest level j whose module contains PEs x and y (0 if x == y).
+  /// O(l), one precomputed exact division (FastDiv32) per level.
+  [[nodiscard]] std::size_t meeting_level(BlockId x, BlockId y) const noexcept {
     OMS_HEAVY_ASSERT(x >= 0 && x < num_pes_ && y >= 0 && y < num_pes_);
     if (x == y) {
       return 0;
     }
-    for (std::size_t level = 1; level <= extents_.size(); ++level) {
-      if (x / prefix_products_[level] == y / prefix_products_[level]) {
-        return distances_[level - 1];
+    const auto ux = static_cast<std::uint32_t>(x);
+    const auto uy = static_cast<std::uint32_t>(y);
+    for (std::size_t level = 1; level < module_div_.size(); ++level) {
+      if (module_div_[level].divide(ux) == module_div_[level].divide(uy)) {
+        return level;
       }
     }
     // Distinct PEs always share the root module, so this is unreachable for
-    // valid inputs; keep the top distance as a safe answer.
-    return distances_.back();
+    // valid inputs; keep the top level as a safe answer.
+    return extents_.size();
+  }
+
+  /// Communication distance between PEs x and y (0 if x == y, else d_j for
+  /// j = meeting_level(x, y)). O(l).
+  [[nodiscard]] std::int64_t distance(BlockId x, BlockId y) const noexcept {
+    const std::size_t level = meeting_level(x, y);
+    return level == 0 ? 0 : distances_[level - 1];
   }
 
   /// Extents outermost-first (al, ..., a1): the order in which the online
@@ -76,6 +86,7 @@ private:
   std::vector<std::int64_t> extents_;         // a1..al (innermost first)
   std::vector<std::int64_t> distances_;       // d1..dl
   std::vector<std::int64_t> prefix_products_; // size l+1; [i] = a1*...*ai
+  std::vector<FastDiv32> module_div_;         // size l+1; divides by [i] above
   BlockId num_pes_ = 0;
 };
 

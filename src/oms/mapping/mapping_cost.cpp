@@ -62,17 +62,7 @@ std::vector<Cost> per_level_volume(const CsrGraph& graph,
     const auto weights = graph.incident_weights(u);
     const BlockId pu = mapping[u];
     for (std::size_t i = 0; i < neigh.size(); ++i) {
-      const BlockId pv = mapping[neigh[i]];
-      if (pu == pv) {
-        volume[0] += weights[i];
-        continue;
-      }
-      for (std::size_t level = 1; level <= topology.num_levels(); ++level) {
-        if (pu / topology.module_size(level) == pv / topology.module_size(level)) {
-          volume[level] += weights[i];
-          break;
-        }
-      }
+      volume[topology.meeting_level(pu, mapping[neigh[i]])] += weights[i];
     }
   }
   return volume;

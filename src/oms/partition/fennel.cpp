@@ -45,6 +45,7 @@ BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
                                   WorkCounters& counters) {
   auto& scratch = scratch_[static_cast<std::size_t>(thread_id)];
 
+  EdgeWeight assigned = 0; // weight to already-assigned neighbours
   for (std::size_t i = 0; i < node.neighbors.size(); ++i) {
     counters.neighbor_visits += 1;
     const BlockId nb = assignment_.load(node.neighbors[i]);
@@ -55,6 +56,7 @@ BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
       scratch.touched.push_back(nb);
     }
     scratch.neighbor_weight[static_cast<std::size_t>(nb)] += node.edge_weights[i];
+    assigned += node.edge_weights[i];
   }
 
   // score_evaluations models the paper's Theta(k) per-node Fennel cost
@@ -110,6 +112,8 @@ BlockId FennelPartitioner::assign(const StreamedNode& node, int thread_id,
     }
   }
   const BlockId best = choice.block != kInvalidBlock ? choice.block : loads_.lightest();
+  // Every assigned neighbour outside best cuts its edge (counted_quality).
+  counters.cut += assigned - scratch.neighbor_weight[static_cast<std::size_t>(best)];
 
   for (const BlockId b : scratch.touched) {
     scratch.neighbor_weight[static_cast<std::size_t>(b)] = 0;

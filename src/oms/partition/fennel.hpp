@@ -38,6 +38,9 @@ public:
   [[nodiscard]] std::vector<BlockId> take_assignment() override {
     return assignment_.take();
   }
+  [[nodiscard]] QualityCount counted_quality() const noexcept override {
+    return QualityCount::kCut;
+  }
 
   [[nodiscard]] const FennelParams& params() const noexcept { return params_; }
   [[nodiscard]] std::uint64_t state_bytes() const noexcept;

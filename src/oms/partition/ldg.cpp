@@ -25,6 +25,7 @@ BlockId LdgPartitioner::assign(const StreamedNode& node, int thread_id,
   auto& scratch = scratch_[static_cast<std::size_t>(thread_id)];
 
   // Gather the weight of already-assigned neighbors per block.
+  EdgeWeight assigned = 0;
   for (std::size_t i = 0; i < node.neighbors.size(); ++i) {
     counters.neighbor_visits += 1;
     const BlockId nb = assignment_.load(node.neighbors[i]);
@@ -35,6 +36,7 @@ BlockId LdgPartitioner::assign(const StreamedNode& node, int thread_id,
       scratch.touched.push_back(nb);
     }
     scratch.neighbor_weight[static_cast<std::size_t>(nb)] += node.edge_weights[i];
+    assigned += node.edge_weights[i];
   }
 
   // Score attraction * remaining-capacity penalty. The dense view gives the
@@ -68,6 +70,8 @@ BlockId LdgPartitioner::assign(const StreamedNode& node, int thread_id,
   // All blocks at capacity (eps = 0 with uneven node weights, or transiently
   // under parallel overshoot): fall back to the globally lightest block.
   const BlockId best = choice.block != kInvalidBlock ? choice.block : loads_.lightest();
+  // Every assigned neighbour outside best cuts its edge (counted_quality).
+  counters.cut += assigned - scratch.neighbor_weight[static_cast<std::size_t>(best)];
 
   for (const BlockId b : scratch.touched) {
     scratch.neighbor_weight[static_cast<std::size_t>(b)] = 0;

@@ -30,6 +30,9 @@ public:
   [[nodiscard]] std::vector<BlockId> take_assignment() override {
     return assignment_.take();
   }
+  [[nodiscard]] QualityCount counted_quality() const noexcept override {
+    return QualityCount::kCut;
+  }
 
   [[nodiscard]] std::uint64_t state_bytes() const noexcept;
 

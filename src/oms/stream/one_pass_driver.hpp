@@ -9,6 +9,7 @@
 /// nodes; all shared state they keep must be atomic (see BlockWeights).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "oms/graph/csr_graph.hpp"
@@ -22,6 +23,14 @@ namespace oms {
 class CheckpointWriter;
 class CheckpointReader;
 struct CheckpointMeta;
+
+/// Which of WorkCounters' assign-time quality fields an assigner's assign()
+/// fills.
+enum class QualityCount : std::uint8_t {
+  kNone,       ///< neither (the stream's caller evaluates the assignment)
+  kCut,        ///< WorkCounters::cut
+  kCutAndCost, ///< WorkCounters::cut and ::mapping_j
+};
 
 /// Interface implemented by Hashing, LDG, Fennel and the online recursive
 /// multi-section. One instance handles one pass over one graph.
@@ -47,6 +56,13 @@ public:
   /// Release the final assignment vector (assigner is done afterwards).
   [[nodiscard]] virtual std::vector<BlockId> take_assignment() = 0;
 
+  /// The quality assign() counts into its WorkCounters. The counts are the
+  /// final cut and J only when one thread placed every node in stream order
+  /// from node 0; run_stream checks that before reporting them.
+  [[nodiscard]] virtual QualityCount counted_quality() const noexcept {
+    return QualityCount::kNone;
+  }
+
   /// Checkpoint support (stream/checkpoint.hpp): serialize / restore every
   /// piece of state that is not derivable from the construction config, so a
   /// resumed pass continues bit-identically. Both default to "unsupported"
@@ -71,6 +87,11 @@ struct StreamResult {
   double elapsed_s = 0.0;
   WorkCounters work;
   StreamErrorStats skipped; ///< malformed lines skipped (disk, --on-error skip)
+  /// Edge cut and mapping cost J (ordered pairs, as mapping_cost) of the
+  /// assignment, counted at assign time. Set when the assigner counts them
+  /// and the run was exact: one consumer, not resumed, no line skipped.
+  std::optional<Cost> edge_cut;
+  std::optional<Cost> mapping_j;
 };
 
 /// Stream \p graph in node-id order through \p assigner: run_stream under

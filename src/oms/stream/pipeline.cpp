@@ -251,6 +251,17 @@ StreamResult stream_one_pass(Source& source, OnePassAssigner& assigner,
   }
   telemetry::publish_work(result.work);
   result.skipped = source.error_stats();
+  // Each edge was counted from its later endpoint, which sees the earlier
+  // one's final block only on one consumer that streamed every node from
+  // node 0 (a resume or a skipped line leaves earlier edges uncounted).
+  const QualityCount counted = assigner.counted_quality();
+  if (counted != QualityCount::kNone && consumers == 1 && policy.resume == nullptr &&
+      result.skipped.lines_skipped == 0) {
+    result.edge_cut = result.work.cut;
+    if (counted == QualityCount::kCutAndCost) {
+      result.mapping_j = 2 * result.work.mapping_j; // ordered pairs
+    }
+  }
   result.assignment = assigner.take_assignment();
   return result;
 }

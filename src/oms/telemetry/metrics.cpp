@@ -55,6 +55,8 @@ constexpr const char* kGaugeNames[kNumGauges] = {
     "progress.total_items",
     "pipeline.queue_depth_max",
     "service.conns_active",
+    "quality.edge_cut",
+    "quality.mapping_j",
 };
 
 constexpr const char* kHistNames[kNumHists] = {

@@ -76,6 +76,8 @@ enum class Gauge : std::uint16_t {
   kProgressTotalItems = 0, ///< announced stream size (0 = unknown), for ETA
   kPipelineQueueDepthMax,  ///< high watermark of the filled-batch queue
   kServiceConnsActive,     ///< connections currently owning a worker slot
+  kQualityEdgeCut,         ///< edge cut of the last node partition
+  kQualityMappingJ,        ///< mapping cost J of the last node mapping
   kCount
 };
 

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 
+#include "oms/types.hpp"
+
 namespace oms {
 
 /// Plain counters; each worker thread owns one instance and the driver merges
@@ -31,11 +33,22 @@ struct WorkCounters {
   /// Tree layers traversed over all nodes (equals n for flat algorithms).
   std::uint64_t layers_traversed = 0;
 
+  /// Quality counted at assign time, not work (OnePassAssigner::
+  /// counted_quality() says which of the two an assigner fills): placing v
+  /// adds every edge to an already-assigned neighbour u, so each edge is
+  /// counted once, from its later endpoint. `cut` sums w(u,v) over u in
+  /// another block; `mapping_j` sums w(u,v) * d(block u, block v), half of
+  /// mapping_cost's ordered-pair J.
+  Cost cut = 0;
+  Cost mapping_j = 0;
+
   WorkCounters& operator+=(const WorkCounters& other) noexcept {
     score_evaluations += other.score_evaluations;
     candidate_evaluations += other.candidate_evaluations;
     neighbor_visits += other.neighbor_visits;
     layers_traversed += other.layers_traversed;
+    cut += other.cut;
+    mapping_j += other.mapping_j;
     return *this;
   }
 

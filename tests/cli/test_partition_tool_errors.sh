@@ -321,6 +321,24 @@ else
   failures=$((failures + 1))
 fi
 
+# A sequential --from-disk run reports the cut and J it counted while
+# assigning: the same two lines the in-memory run prints. Two consumers
+# cannot count them, so that run prints neither.
+printf '6 7\n2 3\n1 3\n1 2 4\n3 5 6\n4 6\n4 5\n' > "$tmpdir/quality.graph"
+quality_lines() {
+  "$tool" "$tmpdir/quality.graph" --hierarchy 2:2 --distances 1:10 "$@" \
+    2> /dev/null | grep -E '^(edge-cut|mapping J):'
+}
+if [ "$(quality_lines --from-disk)" = "$(quality_lines)" ] &&
+   [ "$(quality_lines --from-disk | wc -l)" -eq 2 ] &&
+   [ -z "$(quality_lines --pipeline --io-threads 2)" ]; then
+  echo "ok   [--from-disk prints the counted edge cut and mapping J]"
+else
+  echo "FAIL [--from-disk prints the counted edge cut and mapping J]"
+  quality_lines --from-disk | sed 's/^/    /'
+  failures=$((failures + 1))
+fi
+
 # An unwritable metrics path is a clean exit-2 "error:" after the summary.
 check_clean_error "unwritable --metrics-out path" 2 \
   "$tool" "$tmpdir/good.graph" --k 2 \

@@ -80,6 +80,26 @@ TEST(Hierarchy, DistanceIsMonotoneInHierarchyLevel) {
   EXPECT_EQ(h.distance(0, 15), 8);
 }
 
+TEST(Hierarchy, DistanceMatchesTheDivisionFormula) {
+  // meeting_level() divides by precomputed FastDiv32 magics; the reference
+  // is the integer division by each module size, on every PE pair.
+  for (const char* extents : {"4:16:4", "3:5:7", "4:16:1"}) {
+    SCOPED_TRACE(extents);
+    const SystemHierarchy h = SystemHierarchy::parse(extents, "1:10:100");
+    for (BlockId x = 0; x < h.num_pes(); ++x) {
+      for (BlockId y = 0; y < h.num_pes(); ++y) {
+        std::size_t level = 0;
+        while (x / h.module_size(level) != y / h.module_size(level)) {
+          ++level;
+        }
+        ASSERT_EQ(h.meeting_level(x, y), level) << x << " " << y;
+        ASSERT_EQ(h.distance(x, y), level == 0 ? 0 : h.distances()[level - 1])
+            << x << " " << y;
+      }
+    }
+  }
+}
+
 TEST(HierarchyDeath, MismatchedLengthsRejected) {
   EXPECT_DEATH(SystemHierarchy::parse("4:16", "1:10:100"), "one distance per");
 }
