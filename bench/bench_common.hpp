@@ -4,14 +4,20 @@
 ///
 /// Environment knobs (all optional):
 ///   OMS_BENCH_SCALE = small | medium | large   (instance sizes; default small)
-///   OMS_BENCH_REPS  = N                        (repetitions; default 3)
-///   OMS_BENCH_THREADS = N                      (threads for timed runs; default 1)
+///   OMS_BENCH_REPS  = N >= 1                   (repetitions; default 3)
+///   OMS_BENCH_THREADS = N in [0, 1024]         (threads for timed runs; default 1,
+///                                               0 = all hardware threads)
+/// Any other value prints the usage and exits 2 before an experiment runs.
 #pragma once
 
+#include <charconv>
+#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "oms/api/partition_request.hpp"
 #include "oms/benchlib/algorithms.hpp"
 #include "oms/benchlib/instances.hpp"
 #include "oms/util/env.hpp"
@@ -27,9 +33,37 @@ struct BenchEnv {
   [[nodiscard]] static BenchEnv from_env() {
     BenchEnv env;
     env.scale = scale_from_env();
-    env.repetitions = static_cast<int>(env_or_int("OMS_BENCH_REPS", 3));
-    env.threads = static_cast<int>(env_or_int("OMS_BENCH_THREADS", 1));
+    // scale_from_env reads every unknown name as small.
+    if (env_or("OMS_BENCH_SCALE", "small") != scale_name(env.scale)) {
+      reject("OMS_BENCH_SCALE");
+    }
+    env.repetitions = int_knob("OMS_BENCH_REPS", 3, 1, std::numeric_limits<int>::max());
+    env.threads = int_knob("OMS_BENCH_THREADS", 1, 0, kMaxThreads);
     return env;
+  }
+
+private:
+  [[noreturn]] static void reject(const char* name) {
+    std::cerr << "error: " << name << "='" << env_or(name, "") << "' is invalid\n"
+              << "usage: OMS_BENCH_SCALE=small|medium|large OMS_BENCH_REPS=<n >= 1> "
+                 "OMS_BENCH_THREADS=<0.."
+              << kMaxThreads << ", 0 = all hardware threads>\n";
+    std::exit(2);
+  }
+
+  /// Integer knob in [lo, hi], or \p fallback when unset or empty.
+  static int int_knob(const char* name, int fallback, int lo, int hi) {
+    const std::string value = env_or(name, "");
+    if (value.empty()) {
+      return fallback;
+    }
+    int parsed = 0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+    if (ec != std::errc{} || ptr != end || parsed < lo || parsed > hi) {
+      reject(name);
+    }
+    return parsed;
   }
 };
 

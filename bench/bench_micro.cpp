@@ -136,19 +136,21 @@ void BM_StreamOmsMapping(benchmark::State& state) {
 BENCHMARK(BM_StreamOmsMapping)->Arg(4)->Arg(64);
 
 void BM_MetisStreamRead(benchmark::State& state) {
-  // Disk ingest throughput: parse the shared graph's METIS file node by node
-  // (the buffered raw-read + in-place from_chars path). PID-unique path so
-  // concurrent bench runs on a shared machine cannot clobber each other.
+  // Disk ingest throughput: parse the shared graph's METIS file into
+  // batches of the reader thread's default geometry (the buffered raw-read +
+  // in-place tokenizer path). PID-unique path so concurrent bench runs on a
+  // shared machine cannot clobber each other.
   const std::string path = "/tmp/oms_bench_micro_stream." +
                            std::to_string(::getpid()) + ".graph";
   write_metis(shared_graph(), path);
+  const PipelineConfig geometry;
+  NodeBatch batch;
   EdgeIndex arcs = 0;
   for (auto _ : state) {
     MetisNodeStream stream(path);
-    StreamedNode node{};
     arcs = 0;
-    while (stream.next(node)) {
-      arcs += node.neighbors.size();
+    while (stream.fill_batch(batch, geometry.batch_nodes, geometry.batch_arcs) > 0) {
+      arcs += batch.num_arcs();
     }
     benchmark::DoNotOptimize(arcs);
   }

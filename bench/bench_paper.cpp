@@ -1,7 +1,7 @@
 /// \file bench_paper.cpp
 /// \brief The paper's evaluation (Section 4: Fig. 2a-f, Fig. 3, Table 2 and
-///        the tuning ablations) plus the extension ablations, as one driver
-///        over a name -> experiment table.
+///        the tuning ablations) plus the extension ablations and the
+///        vertex-cut table, as one driver over a name -> experiment table.
 ///
 ///   bench_paper <experiment>...   run the named experiments in order
 ///   bench_paper all               run every experiment
@@ -19,13 +19,20 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
 
 #include "oms/buffered/buffered_partitioner.hpp"
 #include "oms/core/online_multisection.hpp"
+#include "oms/edgepart/dbh.hpp"
+#include "oms/edgepart/driver.hpp"
+#include "oms/edgepart/grid2d.hpp"
+#include "oms/edgepart/hdrf.hpp"
+#include "oms/edgepart/hierarchical_hdrf.hpp"
 #include "oms/graph/ordering.hpp"
 #include "oms/mapping/mapping_cost.hpp"
 #include "oms/multilevel/block_swap.hpp"
@@ -786,6 +793,69 @@ void twophase_mapping(Context& ctx) {
                "comparison in the paper's reference [12]).\n";
 }
 
+void edgepart(Context& ctx) {
+  // The vertex-cut extension (oms/edgepart/): each instance streamed as its
+  // edge sequence (u < v, node order) through HDRF, the DBH and Grid hashing
+  // baselines, and hierarchical HDRF on a two-level tree with strongly
+  // non-uniform distances, plus its hierarchy-blind twin under the same
+  // per-layer balance cap. Time is the best of the repetitions.
+  const BlockId k = 32;
+  const SystemHierarchy topo({4, 8}, {1, 100});
+  const SystemHierarchy flat_topo({k}, {1});
+  EdgePartConfig config;
+  config.k = k;
+  std::cout << "k = " << k << "; hierarchical runs and the replica cost on "
+            << topo.to_string() << ".\n\n";
+
+  struct Variant {
+    const char* name;
+    std::function<std::unique_ptr<StreamingEdgePartitioner>()> make;
+  };
+  const std::array<Variant, 5> variants = {{
+      {"hdrf", [&] { return std::make_unique<HdrfPartitioner>(config); }},
+      {"dbh", [&] { return std::make_unique<DbhPartitioner>(config); }},
+      {"grid2d", [&] { return std::make_unique<Grid2dPartitioner>(config); }},
+      {"flat-hdrf+cap",
+       [&] { return std::make_unique<HierarchicalHdrfPartitioner>(flat_topo, config); }},
+      {"hier-hdrf",
+       [&] { return std::make_unique<HierarchicalHdrfPartitioner>(topo, config); }},
+  }};
+  TablePrinter table(
+      {"instance", "algo", "rep factor", "replica cost", "edge imbal", "Medges/s"});
+  for (const auto& instance : benchmark_suite(ctx.env.scale)) {
+    const CsrGraph graph = instance.make();
+    std::vector<StreamedEdge> edges;
+    edges.reserve(graph.num_edges());
+    for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+      for (const NodeId v : graph.neighbors(u)) {
+        if (v > u) {
+          edges.push_back(StreamedEdge{u, v, 1});
+        }
+      }
+    }
+    for (const Variant& variant : variants) {
+      // One partitioner handles exactly one pass: a fresh one per repetition.
+      std::unique_ptr<StreamingEdgePartitioner> partitioner;
+      double best_s = 0.0;
+      for (int rep = 0; rep < ctx.env.repetitions; ++rep) {
+        partitioner = variant.make();
+        const double t = run_edge_partition(edges, *partitioner).elapsed_s;
+        best_s = rep == 0 ? t : std::min(best_s, t);
+      }
+      table.add_row({instance.name, std::string(variant.name),
+                     TablePrinter::cell(replication_factor(partitioner->replicas()), 3),
+                     TablePrinter::cell(
+                         hierarchical_replica_cost(partitioner->replicas(), topo)),
+                     TablePrinter::cell(edge_imbalance(partitioner->edge_loads()), 3),
+                     TablePrinter::cell(static_cast<double>(edges.size()) / best_s / 1e6,
+                                        2)});
+    }
+  }
+  table.print(std::cout);
+  std::cout << "\nHDRF should replicate least of the one-level algorithms, and hier-HDRF\n"
+               "reach a lower replica cost than flat-hdrf+cap (tests/edgepart asserts both).\n";
+}
+
 // --- Driver ------------------------------------------------------------------
 
 struct Experiment {
@@ -794,7 +864,7 @@ struct Experiment {
   void (*run)(Context&);
 };
 
-constexpr std::array<Experiment, 19> kExperiments = {{
+constexpr std::array<Experiment, 20> kExperiments = {{
     {"fig2a", "Fig 2a — mapping improvement over Hashing vs k (S=4:16:r, D=1:10:100)",
      fig2a},
     {"fig2b", "Fig 2b — edge-cut improvement over Hashing vs k", fig2b},
@@ -823,6 +893,8 @@ constexpr std::array<Experiment, 19> kExperiments = {{
      streaming_models},
     {"twophase-mapping", "Two-phase mapping — OMS vs partition-then-map pipelines",
      twophase_mapping},
+    {"edgepart", "Vertex-cut edge partitioning — replication, balance, throughput",
+     edgepart},
 }};
 
 void list_experiments(std::ostream& out) {

@@ -41,6 +41,8 @@ struct SingleRun {
   double time_s = 0.0;
   WorkCounters work;
   std::uint64_t state_bytes = 0;
+  std::optional<Cost> cut; ///< counted while assigning (StreamResult)
+  std::optional<Cost> j;
 };
 
 SingleRun run_once(Algo algo, const CsrGraph& graph, const RunOptions& options,
@@ -57,6 +59,8 @@ SingleRun run_once(Algo algo, const CsrGraph& graph, const RunOptions& options,
     out.assignment = std::move(r.assignment);
     out.time_s = r.elapsed_s;
     out.work = r.work;
+    out.cut = r.edge_cut;
+    out.j = r.mapping_j;
   };
 
   switch (algo) {
@@ -132,10 +136,15 @@ RunMetrics run_algorithm(Algo algo, const CsrGraph& graph, const RunOptions& opt
 
     verify_partition(graph, run.assignment, k);
     metrics.time_s += run.time_s;
-    metrics.edge_cut += static_cast<double>(edge_cut(graph, run.assignment));
+    // A pass that counted its quality exactly reports it; the others
+    // (threads > 1, Hashing, the in-memory references) are evaluated here.
+    metrics.edge_cut +=
+        static_cast<double>(run.cut ? *run.cut : edge_cut(graph, run.assignment));
     if (options.topology.has_value()) {
+      // Only OMS counts J, and then against this same topology.
       metrics.mapping_cost += static_cast<double>(
-          mapping_cost(graph, *options.topology, run.assignment, options.threads));
+          run.j ? *run.j
+                : mapping_cost(graph, *options.topology, run.assignment, options.threads));
     }
     metrics.balanced = metrics.balanced &&
                        is_balanced(graph, run.assignment, k, options.epsilon);

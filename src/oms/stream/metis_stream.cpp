@@ -145,18 +145,6 @@ bool MetisNodeStream::parse_next(NodeWeight& weight, std::vector<NodeId>& neighb
   return true;
 }
 
-bool MetisNodeStream::next(StreamedNode& out) {
-  neighbor_buffer_.clear();
-  weight_buffer_.clear();
-  NodeWeight node_weight = 1;
-  const NodeId id = next_id_;
-  if (!parse_next(node_weight, neighbor_buffer_, weight_buffer_)) {
-    return false;
-  }
-  out = StreamedNode{id, node_weight, neighbor_buffer_, weight_buffer_};
-  return true;
-}
-
 std::size_t MetisNodeStream::fill_batch(NodeBatch& batch, std::size_t max_nodes,
                                         std::size_t max_arcs) {
   batch.reset(next_id_);

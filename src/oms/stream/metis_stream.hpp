@@ -25,7 +25,6 @@
 #include "oms/stream/error_policy.hpp"
 #include "oms/stream/line_reader.hpp"
 #include "oms/stream/node_batch.hpp"
-#include "oms/stream/streamed_node.hpp"
 #include "oms/types.hpp"
 #include "oms/util/io_error.hpp"
 
@@ -40,11 +39,11 @@ struct MetisHeader {
   bool has_edge_weights = false;
 };
 
-/// Sequentially parses a METIS file, exposing one node (next) or one batch of
-/// consecutive nodes (fill_batch) at a time.
+/// Sequentially parses a METIS file, one batch of consecutive nodes
+/// (fill_batch) at a time.
 ///
 /// Throws oms::IoError from the constructor (unopenable file, malformed
-/// header) and from next() (malformed data line).
+/// header) and from fill_batch() (malformed data line).
 class MetisNodeStream {
 public:
   /// Chunk size of the raw reads; lines longer than the buffer grow it.
@@ -57,10 +56,6 @@ public:
   MetisNodeStream& operator=(const MetisNodeStream&) = delete;
 
   [[nodiscard]] const MetisHeader& header() const noexcept { return header_; }
-
-  /// Fetch the next node; false after the last one. The spans inside
-  /// \p out remain valid until the next call.
-  bool next(StreamedNode& out);
 
   /// Chunk handoff for run_stream: parse up to \p max_nodes consecutive
   /// nodes (fewer when \p max_arcs adjacency entries accumulate first —
@@ -76,7 +71,7 @@ public:
 
   // --- checkpoint/resume support (stream/checkpoint.hpp) -----------------
 
-  /// File offset of the first byte next()/fill_batch() has not consumed yet.
+  /// File offset of the first byte fill_batch() has not consumed yet.
   [[nodiscard]] std::uint64_t next_offset() const noexcept {
     return reader_.next_offset();
   }
@@ -123,8 +118,6 @@ private:
 
   MetisHeader header_;
   NodeId next_id_ = 0;
-  std::vector<NodeId> neighbor_buffer_;
-  std::vector<EdgeWeight> weight_buffer_;
   StreamErrorPolicy error_policy_;
   StreamErrorStats error_stats_;
 };

@@ -18,15 +18,4 @@ namespace oms {
   return std::string(value);
 }
 
-/// Integer environment variable, or \p fallback when unset or unparsable.
-[[nodiscard]] inline long env_or_int(const char* name, long fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
 } // namespace oms

@@ -248,11 +248,10 @@ TEST_F(ChaosStreamTest, CorruptChunkIsSurvivableUnderSkipPolicy) {
   policy.action = StreamErrorPolicy::Action::kSkip;
   stream.set_error_policy(policy);
   fennel.prepare(1);
-  StreamedNode node{};
   WorkCounters counters;
-  while (stream.next(node)) {
+  testing::for_each_node(stream, [&](const StreamedNode& node) {
     fennel.assign(node, 0, counters);
-  }
+  });
   EXPECT_EQ(stream.error_stats().lines_skipped, 1u);
   EXPECT_EQ(fennel.take_assignment().size(), num_nodes_);
 }

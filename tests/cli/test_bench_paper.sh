@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # bench_paper driver smoke: --list names every experiment, one cheap
-# experiment runs to completion, and an unknown name is a usage error.
+# experiment runs to completion, and an unknown name or an invalid
+# OMS_BENCH_* knob is a usage error.
 # Usage: test_bench_paper.sh <path-to-bench_paper>
 set -u
 
@@ -16,7 +17,7 @@ list="$("$tool" --list)" || fail "--list exits 0"
 for name in fig2a fig2b fig2c fig2d fig2e fig2f fig3 table2 complexity memory \
             tuning-alpha tuning-base tuning-hybrid tuning-scorer \
             ablation-overshoot ablation-stream-order buffer-size \
-            streaming-models twophase-mapping; do
+            streaming-models twophase-mapping edgepart; do
   printf '%s\n' "$list" | grep -qE "^ *$name " || fail "--list names $name"
 done
 
@@ -30,6 +31,17 @@ code=$?
 "$tool" > /dev/null 2>&1
 code=$?
 [ "$code" -eq 2 ] || fail "no experiment exits 2 (got $code)"
+
+# Knobs are checked before any experiment runs (REPS=0 used to print NaN
+# tables, an unparsable value used to become the default). complexity runs
+# on one thread whatever OMS_BENCH_THREADS says, so even a broken check
+# starts no extra thread here.
+for knob in OMS_BENCH_REPS=0 OMS_BENCH_REPS=x OMS_BENCH_THREADS=-1 \
+            OMS_BENCH_THREADS=1025 OMS_BENCH_SCALE=huge; do
+  env "$knob" "$tool" complexity > /dev/null 2>&1
+  code=$?
+  [ "$code" -eq 2 ] || fail "$knob exits 2 (got $code)"
+done
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures bench_paper check(s) failed"

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "oms/benchlib/instances.hpp"
@@ -184,8 +186,8 @@ TEST(EdgePartitioners, GridReplicationBound) {
 // (allowing a small tolerance — HDRF is a heuristic, not a bound).
 TEST(EdgePartitioners, HdrfBeatsDbhAndGridOnBenchlibInstances) {
   const BlockId k = 32;
-  for (const char* name : {"social-ba", "web-rmat", "citations-ba"}) {
-    const auto spec = bench::instance_by_name(bench::Scale::kSmall, name);
+  const std::set<std::string> skewed = {"social-ba", "web-rmat", "citations-ba"};
+  for (const auto& spec : bench::benchmark_suite(bench::Scale::kSmall)) {
     const CsrGraph graph = spec.make();
     const auto edges = edges_of(graph);
     EdgePartConfig config;
@@ -201,10 +203,14 @@ TEST(EdgePartitioners, HdrfBeatsDbhAndGridOnBenchlibInstances) {
     const double rf_hdrf = replication_factor(hdrf.replicas());
     const double rf_dbh = replication_factor(dbh.replicas());
     const double rf_grid = replication_factor(grid.replicas());
-    EXPECT_LE(rf_hdrf, rf_dbh * 1.02) << name;
-    EXPECT_LE(rf_hdrf, rf_grid * 1.02) << name;
-    // And it must stay a usable partition, not one giant block.
-    EXPECT_LT(edge_imbalance(hdrf.edge_loads()), 1.0) << name;
+    EXPECT_LE(rf_hdrf, rf_dbh * 1.02) << spec.name;
+    EXPECT_LE(rf_hdrf, rf_grid * 1.02) << spec.name;
+    // And it must stay a usable partition, not one giant block, on the
+    // skewed instances. On mesh2d/mesh3d, streamed in grid order, HDRF at
+    // the default lambda keeps every edge in one block.
+    if (skewed.contains(spec.name)) {
+      EXPECT_LT(edge_imbalance(hdrf.edge_loads()), 1.0) << spec.name;
+    }
   }
 }
 
@@ -215,28 +221,41 @@ TEST(EdgePartitioners, HierarchicalHdrfLowersReplicaCost) {
   // per-layer balance regime: a one-level hierarchy over the same k blocks
   // (plain HDRF would instead buy low cost with unbounded imbalance, which
   // confounds the comparison).
-  const SystemHierarchy topo({4, 4, 4}, {1, 10, 100});
-  const SystemHierarchy flat_topo({topo.num_pes()}, {1});
-  const CsrGraph graph = gen::barabasi_albert(4000, 6, 9);
-  const auto edges = edges_of(graph);
-  EdgePartConfig config;
-  config.k = topo.num_pes();
+  struct Case {
+    std::string name;
+    SystemHierarchy topo;
+    CsrGraph graph;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"ba-4000", SystemHierarchy({4, 4, 4}, {1, 10, 100}),
+                   gen::barabasi_albert(4000, 6, 9)});
+  // Two levels, k = 32, over every benchlib instance.
+  for (const auto& spec : bench::benchmark_suite(bench::Scale::kSmall)) {
+    cases.push_back({spec.name, SystemHierarchy({4, 8}, {1, 100}), spec.make()});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SystemHierarchy flat_topo({c.topo.num_pes()}, {1});
+    const auto edges = edges_of(c.graph);
+    EdgePartConfig config;
+    config.k = c.topo.num_pes();
 
-  HierarchicalHdrfPartitioner flat(flat_topo, config);
-  HierarchicalHdrfPartitioner hier(topo, config);
-  (void)run_edge_partition(edges, flat);
-  (void)run_edge_partition(edges, hier);
+    HierarchicalHdrfPartitioner flat(flat_topo, config);
+    HierarchicalHdrfPartitioner hier(c.topo, config);
+    (void)run_edge_partition(edges, flat);
+    (void)run_edge_partition(edges, hier);
 
-  const Cost flat_cost = hierarchical_replica_cost(flat.replicas(), topo);
-  const Cost hier_cost = hierarchical_replica_cost(hier.replicas(), topo);
-  EXPECT_LT(hier_cost, flat_cost);
-  // Both respect the layered balance cap, so the comparison is apples to
-  // apples on load as well.
-  EXPECT_LT(edge_imbalance(hier.edge_loads()), 0.5);
-  EXPECT_LT(edge_imbalance(flat.edge_loads()), 0.5);
-  // The trade stays sane: replication factor within 2x of the blind run.
-  EXPECT_LE(replication_factor(hier.replicas()),
-            2.0 * replication_factor(flat.replicas()));
+    const Cost flat_cost = hierarchical_replica_cost(flat.replicas(), c.topo);
+    const Cost hier_cost = hierarchical_replica_cost(hier.replicas(), c.topo);
+    EXPECT_LT(hier_cost, flat_cost);
+    // Both respect the layered balance cap, so the comparison is apples to
+    // apples on load as well.
+    EXPECT_LT(edge_imbalance(hier.edge_loads()), 0.5);
+    EXPECT_LT(edge_imbalance(flat.edge_loads()), 0.5);
+    // The trade stays sane: replication factor within 2x of the blind run.
+    EXPECT_LE(replication_factor(hier.replicas()),
+              2.0 * replication_factor(flat.replicas()));
+  }
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include "oms/graph/graph_builder.hpp"
 #include "oms/stream/metis_stream.hpp"
 #include "oms/util/io_error.hpp"
+#include "tests/test_support.hpp"
 
 namespace oms {
 namespace {
@@ -270,9 +271,7 @@ TEST_F(IoTest, MalformedMetisThrowsWithPositionOnBothRoutes) {
     expect_error([&] { (void)read_metis(path); });
     expect_error([&] {
       MetisNodeStream stream(path);
-      StreamedNode node{};
-      while (stream.next(node)) {
-      }
+      testing::for_each_node(stream, [](const StreamedNode&) {});
     });
   }
   std::remove(path.c_str());
@@ -289,11 +288,10 @@ TEST_F(IoTest, SkipPolicyTurnsBadWeightLinesIntoIsolatedNodes) {
   MetisNodeStream stream(path);
   stream.set_error_policy({StreamErrorPolicy::Action::kSkip, 10});
   std::vector<NodeWeight> weights;
-  StreamedNode node{};
-  while (stream.next(node)) {
+  testing::for_each_node(stream, [&](const StreamedNode& node) {
     EXPECT_TRUE(node.neighbors.empty()) << node.id;
     weights.push_back(node.weight);
-  }
+  });
   EXPECT_EQ(weights, (std::vector<NodeWeight>{1, 1, 1}));
   EXPECT_EQ(stream.error_stats().lines_skipped, 3u);
   EXPECT_EQ(stream.error_stats().first_line, 2u);

@@ -70,14 +70,13 @@ TEST_P(IoRoundTrip, MetisPreservesEverything) {
 
   // The node stream must deliver the same adjacency, node by node.
   MetisNodeStream stream(base + ".graph");
-  StreamedNode node{};
-  while (stream.next(node)) {
+  testing::for_each_node(stream, [&](const StreamedNode& node) {
     const auto expect = original.neighbors(node.id);
     ASSERT_EQ(node.neighbors.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i) {
       ASSERT_EQ(node.neighbors[i], expect[i]);
     }
-  }
+  });
 
   std::remove((base + ".graph").c_str());
 }
@@ -87,8 +86,7 @@ CsrGraph builder_reference(const std::string& path) {
   MetisNodeStream stream(path);
   const MetisHeader header = stream.header();
   GraphBuilder builder(header.num_nodes);
-  StreamedNode node{};
-  while (stream.next(node)) {
+  testing::for_each_node(stream, [&](const StreamedNode& node) {
     if (header.has_node_weights) {
       builder.set_node_weight(node.id, node.weight);
     }
@@ -97,7 +95,7 @@ CsrGraph builder_reference(const std::string& path) {
         builder.add_edge(node.id, node.neighbors[i], node.edge_weights[i]);
       }
     }
-  }
+  });
   return std::move(builder).build();
 }
 

@@ -207,14 +207,13 @@ TEST(MetisStream, HeaderAndNodeCount) {
   EXPECT_EQ(stream.header().num_nodes, 100u);
   EXPECT_EQ(stream.header().num_edges, g.num_edges());
 
-  StreamedNode node{};
   NodeId count = 0;
   EdgeIndex arcs = 0;
-  while (stream.next(node)) {
+  testing::for_each_node(stream, [&](const StreamedNode& node) {
     EXPECT_EQ(node.id, count);
     arcs += node.neighbors.size();
     ++count;
-  }
+  });
   EXPECT_EQ(count, 100u);
   EXPECT_EQ(arcs, g.num_arcs());
   std::remove(path.c_str());
@@ -226,16 +225,11 @@ TEST(MetisStream, RewindReplaysTheStream) {
   write_metis(g, path);
 
   MetisNodeStream stream(path);
-  StreamedNode node{};
   int first_count = 0;
-  while (stream.next(node)) {
-    ++first_count;
-  }
+  testing::for_each_node(stream, [&](const StreamedNode&) { ++first_count; });
   stream.rewind();
   int second_count = 0;
-  while (stream.next(node)) {
-    ++second_count;
-  }
+  testing::for_each_node(stream, [&](const StreamedNode&) { ++second_count; });
   EXPECT_EQ(first_count, 12);
   EXPECT_EQ(second_count, 12);
   std::remove(path.c_str());
@@ -270,11 +264,9 @@ TEST(MetisStream, StreamsNodeWeights) {
 
   MetisNodeStream stream(path);
   EXPECT_TRUE(stream.header().has_node_weights);
-  StreamedNode node{};
   std::vector<NodeWeight> weights;
-  while (stream.next(node)) {
-    weights.push_back(node.weight);
-  }
+  testing::for_each_node(stream,
+                         [&](const StreamedNode& node) { weights.push_back(node.weight); });
   EXPECT_EQ(weights, (std::vector<NodeWeight>{1, 7, 1}));
   std::remove(path.c_str());
 }

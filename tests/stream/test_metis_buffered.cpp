@@ -37,9 +37,8 @@ void expect_stream_matches_graph(const std::string& path, const CsrGraph& g,
   EXPECT_EQ(stream.header().num_nodes, g.num_nodes());
   EXPECT_EQ(stream.header().num_edges, g.num_edges());
 
-  StreamedNode node{};
   NodeId count = 0;
-  while (stream.next(node)) {
+  testing::for_each_node(stream, [&](const StreamedNode& node) {
     ASSERT_LT(count, g.num_nodes());
     EXPECT_EQ(node.id, count);
     EXPECT_EQ(node.weight, g.node_weight(count)) << "node " << count;
@@ -51,7 +50,7 @@ void expect_stream_matches_graph(const std::string& path, const CsrGraph& g,
       EXPECT_EQ(node.edge_weights[i], expected_weights[i]);
     }
     ++count;
-  }
+  });
   EXPECT_EQ(count, g.num_nodes());
 }
 
@@ -114,12 +113,11 @@ TEST(MetisBuffered, CommentLinesAndIsolatedTrailingNodes) {
     MetisNodeStream stream(path, buffer);
     EXPECT_EQ(stream.header().num_nodes, 5u);
     EXPECT_EQ(stream.header().num_edges, 2u);
-    StreamedNode node{};
     std::vector<std::vector<NodeId>> adjacency;
-    while (stream.next(node)) {
+    testing::for_each_node(stream, [&](const StreamedNode& node) {
       adjacency.emplace_back(node.neighbors.begin(), node.neighbors.end());
       EXPECT_EQ(node.weight, 1);
-    }
+    });
     const std::vector<std::vector<NodeId>> expected = {
         {1}, {0, 2}, {}, {1}, {}};
     EXPECT_EQ(adjacency, expected);
@@ -131,14 +129,14 @@ TEST(MetisBuffered, FileWithoutTrailingNewline) {
   const std::string path = temp_path("oms_buffered_notrail.graph");
   write_text(path, "2 1\n2\n1"); // last line unterminated
   MetisNodeStream stream(path, 64);
-  StreamedNode node{};
-  ASSERT_TRUE(stream.next(node));
-  ASSERT_EQ(node.neighbors.size(), 1u);
-  EXPECT_EQ(node.neighbors[0], 1u);
-  ASSERT_TRUE(stream.next(node));
-  ASSERT_EQ(node.neighbors.size(), 1u);
-  EXPECT_EQ(node.neighbors[0], 0u);
-  EXPECT_FALSE(stream.next(node));
+  NodeBatch batch;
+  ASSERT_EQ(stream.fill_batch(batch, 1), 1u);
+  ASSERT_EQ(batch.node(0).neighbors.size(), 1u);
+  EXPECT_EQ(batch.node(0).neighbors[0], 1u);
+  ASSERT_EQ(stream.fill_batch(batch, 1), 1u);
+  ASSERT_EQ(batch.node(0).neighbors.size(), 1u);
+  EXPECT_EQ(batch.node(0).neighbors[0], 0u);
+  EXPECT_EQ(stream.fill_batch(batch, 1), 0u);
   std::remove(path.c_str());
 }
 
@@ -148,20 +146,19 @@ TEST(MetisBuffered, RewindReplaysIdentically) {
   write_metis(g, path);
 
   MetisNodeStream stream(path, 97);
-  StreamedNode node{};
   std::vector<std::vector<NodeId>> first;
   std::vector<NodeWeight> first_weights;
-  while (stream.next(node)) {
+  testing::for_each_node(stream, [&](const StreamedNode& node) {
     first.emplace_back(node.neighbors.begin(), node.neighbors.end());
     first_weights.push_back(node.weight);
-  }
+  });
   stream.rewind();
   std::vector<std::vector<NodeId>> second;
   std::vector<NodeWeight> second_weights;
-  while (stream.next(node)) {
+  testing::for_each_node(stream, [&](const StreamedNode& node) {
     second.emplace_back(node.neighbors.begin(), node.neighbors.end());
     second_weights.push_back(node.weight);
-  }
+  });
   EXPECT_EQ(first, second);
   EXPECT_EQ(first_weights, second_weights);
   std::remove(path.c_str());
@@ -194,8 +191,7 @@ std::string drain_rendered(const std::string& body, std::size_t buffer) {
   std::string out;
   try {
     MetisNodeStream stream(path, buffer);
-    StreamedNode node{};
-    while (stream.next(node)) {
+    testing::for_each_node(stream, [&](const StreamedNode& node) {
       out += out.empty() ? "w:" : "|w:";
       out += std::to_string(node.weight);
       for (std::size_t i = 0; i < node.neighbors.size(); ++i) {
@@ -204,7 +200,7 @@ std::string drain_rendered(const std::string& body, std::size_t buffer) {
         out += '/';
         out += std::to_string(node.edge_weights[i]);
       }
-    }
+    });
   } catch (const IoError& e) {
     const std::string what = e.what();
     out = what.rfind(path, 0) == 0 ? what.substr(path.size()) : what;
@@ -310,9 +306,9 @@ TEST(MetisBufferedErrors, NeighborOutOfRange) {
   const std::string path = temp_path("oms_buffered_range.graph");
   write_text(path, "2 1\n2\n3\n"); // node 2 references neighbor 3 > n
   MetisNodeStream stream(path);
-  StreamedNode node{};
-  ASSERT_TRUE(stream.next(node));
-  EXPECT_THROW(stream.next(node), IoError);
+  NodeBatch batch;
+  ASSERT_EQ(stream.fill_batch(batch, 1), 1u);
+  EXPECT_THROW(stream.fill_batch(batch, 1), IoError);
   std::remove(path.c_str());
 }
 
@@ -320,8 +316,8 @@ TEST(MetisBufferedErrors, ZeroNeighborIdRejected) {
   const std::string path = temp_path("oms_buffered_zero.graph");
   write_text(path, "2 1\n0\n1\n"); // METIS ids are 1-based
   MetisNodeStream stream(path);
-  StreamedNode node{};
-  EXPECT_THROW(stream.next(node), IoError);
+  NodeBatch batch;
+  EXPECT_THROW(stream.fill_batch(batch, 1), IoError);
   std::remove(path.c_str());
 }
 
@@ -329,9 +325,9 @@ TEST(MetisBufferedErrors, MissingEdgeWeight) {
   const std::string path = temp_path("oms_buffered_noweight.graph");
   write_text(path, "2 1 1\n2 7\n1\n"); // fmt=1 but node 2's weight is absent
   MetisNodeStream stream(path);
-  StreamedNode node{};
-  ASSERT_TRUE(stream.next(node));
-  EXPECT_THROW(stream.next(node), IoError);
+  NodeBatch batch;
+  ASSERT_EQ(stream.fill_batch(batch, 1), 1u);
+  EXPECT_THROW(stream.fill_batch(batch, 1), IoError);
   std::remove(path.c_str());
 }
 
@@ -339,9 +335,9 @@ TEST(MetisBufferedErrors, NonNumericToken) {
   const std::string path = temp_path("oms_buffered_garbage.graph");
   write_text(path, "2 1\n2\nfoo\n");
   MetisNodeStream stream(path);
-  StreamedNode node{};
-  ASSERT_TRUE(stream.next(node));
-  EXPECT_THROW(stream.next(node), IoError);
+  NodeBatch batch;
+  ASSERT_EQ(stream.fill_batch(batch, 1), 1u);
+  EXPECT_THROW(stream.fill_batch(batch, 1), IoError);
   std::remove(path.c_str());
 }
 
@@ -349,10 +345,10 @@ TEST(MetisBufferedErrors, MessageCarriesFileAndLine) {
   const std::string path = temp_path("oms_buffered_lineno.graph");
   write_text(path, "% comment\n2 1\n2\nbad\n");
   MetisNodeStream stream(path);
-  StreamedNode node{};
-  ASSERT_TRUE(stream.next(node));
+  NodeBatch batch;
+  ASSERT_EQ(stream.fill_batch(batch, 1), 1u);
   try {
-    (void)stream.next(node);
+    (void)stream.fill_batch(batch, 1);
     FAIL() << "expected IoError";
   } catch (const IoError& e) {
     const std::string what = e.what();

@@ -353,17 +353,19 @@ TEST(Pipeline, FillBatchRewindReplaysIdentically) {
   const auto second = drain(stream);
   EXPECT_EQ(first, second);
 
-  // Restream mixing the two APIs: batches first, node-at-a-time after rewind.
+  // Restream in one-node batches after another rewind.
   stream.rewind();
-  StreamedNode node{};
   NodeId count = 0;
-  while (stream.next(node)) {
-    ASSERT_LT(count, g.num_nodes());
-    EXPECT_EQ(std::vector<NodeId>(node.neighbors.begin(), node.neighbors.end()),
-              first.first[count]);
-    EXPECT_EQ(node.weight, first.second[count]);
-    ++count;
-  }
+  testing::for_each_node(
+      stream,
+      [&](const StreamedNode& node) {
+        ASSERT_LT(count, g.num_nodes());
+        EXPECT_EQ(std::vector<NodeId>(node.neighbors.begin(), node.neighbors.end()),
+                  first.first[count]);
+        EXPECT_EQ(node.weight, first.second[count]);
+        ++count;
+      },
+      1);
   EXPECT_EQ(count, g.num_nodes());
   std::remove(path.c_str());
 }

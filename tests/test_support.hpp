@@ -11,6 +11,7 @@
 
 #include "oms/graph/csr_graph.hpp"
 #include "oms/graph/graph_builder.hpp"
+#include "oms/stream/metis_stream.hpp"
 #include "oms/types.hpp"
 #include "oms/util/random.hpp"
 
@@ -62,6 +63,19 @@ namespace oms::testing {
     }
   }
   return h;
+}
+
+/// Drain \p stream through fill_batch, the parse every route runs, calling
+/// \p visit on each node in stream order. A node's spans stay valid only
+/// until the next batch is parsed.
+template <typename Visit>
+void for_each_node(MetisNodeStream& stream, Visit&& visit, std::size_t batch_nodes = 64) {
+  NodeBatch batch;
+  while (stream.fill_batch(batch, batch_nodes) > 0) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      visit(batch.node(i));
+    }
+  }
 }
 
 /// Path 0-1-2-...-(n-1).
