@@ -116,17 +116,14 @@ void MultisectionTree::finalize(NodeWeight lmax, double alpha_global,
     capacity_[id] = b.capacity;
     penalty_factor_[id] = b.penalty_factor;
   }
-  // The sparse-candidate scan inside the Fennel scorer needs every sibling
-  // to share (capacity, alpha) — true iff the children split evenly — plus a
-  // strictly increasing penalty and weights that fit its 32-bit key half.
+  // Siblings share (capacity, alpha) iff the children split evenly; a
+  // pass-through layer has nothing to select.
   for (Block& b : blocks_) {
-    if (b.is_leaf()) {
+    if (b.num_children < 2) {
       continue;
     }
     const auto first = static_cast<std::size_t>(b.first_child);
-    b.fennel_key_scan = b.num_big == 0 && penalty_factor_[first] > 0.0 &&
-                        capacity_[first] >= 0 &&
-                        capacity_[first] < (NodeWeight{1} << 31);
+    b.equal_children_monotone_penalty = b.num_big == 0 && penalty_factor_[first] >= 0.0;
   }
 }
 

@@ -54,11 +54,12 @@ public:
     BlockId big_boundary = 0;
     std::int32_t num_big = 0;
     FastMod64 mod_children; ///< exact hash % num_children (hashing layers)
-    /// Children all cover the same leaf count (=> one shared capacity and
-    /// Fennel alpha) and the penalty is strictly increasing — the conditions
-    /// under which the scorer may use the sparse-candidate key scan, or a
-    /// min-load tree over the children on sequential passes.
-    bool fennel_key_scan = false;
+    /// At least two children, all covering the same leaf count (=> one
+    /// shared capacity and Fennel alpha), and a Fennel penalty that does not
+    /// decrease with the weight — the conditions under which a quality layer
+    /// scores only the touched children plus the lightest one
+    /// (select_touched_or_lightest in partition/flat_block_loads.hpp).
+    bool equal_children_monotone_penalty = false;
 
     [[nodiscard]] BlockId num_leaves() const noexcept { return leaf_end - leaf_begin; }
     [[nodiscard]] bool is_leaf() const noexcept { return num_children == 0; }

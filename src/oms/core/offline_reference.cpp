@@ -25,8 +25,6 @@ std::vector<BlockId> OnlineMultisection::run_offline_multipass(const CsrGraph& g
 
   // current_block[u] = tree block u is assigned to so far (root initially).
   std::vector<std::size_t> current_block(graph.num_nodes(), 0);
-  // prepare(1) above forced the dense layout (and built the min-load trees).
-  const auto weights_view = weights_.view<BlockWeights::Layout::kDense>();
 
   for (std::int32_t pass = 0; pass < tree_.height(); ++pass) {
     for (NodeId u = 0; u < graph.num_nodes(); ++u) {
@@ -55,10 +53,11 @@ std::vector<BlockId> OnlineMultisection::run_offline_multipass(const CsrGraph& g
           }
         }
       }
+      // The dense scan of every layer: the oracle the descent's selection
+      // rule must reproduce.
       const std::int32_t choice = pick_child(
-          weights_view, parent, node,
-          std::span<const EdgeWeight>(gathered.data(), children), scorer, parent_id,
-          scratch_.front().key_scratch.data(), counters);
+          parent, node, std::span<const EdgeWeight>(gathered.data(), children), scorer,
+          parent_id, counters);
       const auto child_id = static_cast<std::size_t>(parent.first_child + choice);
       add_block_weight(child_id, node.weight); // keeps a later assign()'s trees exact
       current_block[u] = child_id;

@@ -8,7 +8,6 @@
 
 #include "oms/partition/flat_block_loads.hpp"
 #include "oms/partition/partition_config.hpp"
-#include "oms/partition/sparse_select.hpp"
 #include "oms/util/random.hpp"
 
 namespace oms {
@@ -70,15 +69,9 @@ OnlineMultisection::OnlineMultisection(NodeId num_nodes, EdgeIndex num_edges,
 }
 
 void OnlineMultisection::prepare(int num_threads) {
-  // Sequential passes scan sibling weights densely; concurrent passes hammer
-  // the few top-layer counters from every thread, so spread them one per
-  // cache line (Section 3.4's shared state, minus the false sharing).
-  weights_.set_layout(num_threads > 1 ? BlockWeights::Layout::kPadded
-                                      : BlockWeights::Layout::kDense);
   scratch_.assign(static_cast<std::size_t>(num_threads), DescentScratch{});
   for (DescentScratch& s : scratch_) {
     s.gathered.assign(static_cast<std::size_t>(max_children_), 0);
-    s.key_scratch.assign(static_cast<std::size_t>(max_children_), 0);
   }
   // Racy relaxed adds of concurrent passes cannot keep a tree consistent.
   trees_live_ = num_threads == 1;
@@ -117,17 +110,6 @@ void OnlineMultisection::add_block_weight(std::size_t block_id, NodeWeight delta
 
 BlockId OnlineMultisection::assign(const StreamedNode& node, int thread_id,
                                    WorkCounters& counters) {
-  if (weights_.layout() == BlockWeights::Layout::kPadded) {
-    return assign_impl(weights_.view<BlockWeights::Layout::kPadded>(), node,
-                       thread_id, counters);
-  }
-  return assign_impl(weights_.view<BlockWeights::Layout::kDense>(), node, thread_id,
-                     counters);
-}
-
-template <typename WeightsView>
-BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode& node,
-                                        int thread_id, WorkCounters& counters) {
   DescentScratch& scratch = scratch_[static_cast<std::size_t>(thread_id)];
   const std::size_t degree = node.neighbors.size();
   if (scratch.leaves.size() < degree) {
@@ -210,17 +192,22 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
 
     const auto first = static_cast<std::size_t>(parent.first_child);
     const bool min_tree = trees_live_ && keeps_min_tree(parent);
-    std::int32_t choice = -1;
-    if (min_tree) {
-      choice = pick_child_sparse(
-          weights, parent, node, gathered,
-          std::span<const std::int32_t>(touched, num_touched),
-          min_tree_of(parent).min_index(), scorer, counters);
-    }
-    if (choice < 0) {
-      choice = pick_child(weights, parent, node,
-                          std::span<const EdgeWeight>(gathered, children), scorer,
-                          current, scratch.key_scratch.data(), counters);
+    std::int32_t choice = 0;
+    if (scorer != ScorerKind::kHashing && parent.equal_children_monotone_penalty) {
+      BlockWeights::Slot lightest;
+      if (min_tree) {
+        lightest.block = static_cast<std::size_t>(min_tree_of(parent).min_index());
+        lightest.weight = weights_.load(first + lightest.block);
+      } else {
+        lightest = weights_.lightest(first, first + children);
+        lightest.block -= first;
+      }
+      choice = pick_child_sparse(parent, node, gathered,
+                                 std::span<const std::int32_t>(touched, num_touched),
+                                 lightest, scorer, counters);
+    } else {
+      choice = pick_child(parent, node, std::span<const EdgeWeight>(gathered, children),
+                          scorer, current, counters);
     }
     const std::size_t child_id = first + static_cast<std::size_t>(choice);
     if (scorer != ScorerKind::kHashing) {
@@ -235,10 +222,10 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
       gathered[static_cast<std::size_t>(touched[t])] = 0;
     }
 
-    weights.add(child_id, node.weight);
+    weights_.add(child_id, node.weight);
     if (min_tree) {
-      min_tree_of(parent).update(choice, [weights, first](std::int32_t i) {
-        return weights.load(first + static_cast<std::size_t>(i));
+      min_tree_of(parent).update(choice, [this, first](std::int32_t i) {
+        return weights_.load(first + static_cast<std::size_t>(i));
       });
     }
     counters.layers_traversed += 1;
@@ -272,56 +259,36 @@ void OnlineMultisection::charge_survivors(const MultisectionTree::Block& hashed,
   }
 }
 
-template <typename WeightsView>
-std::int32_t OnlineMultisection::pick_child_sparse(
-    WeightsView weights, const MultisectionTree::Block& parent,
-    const StreamedNode& node, const EdgeWeight* gathered,
-    std::span<const std::int32_t> touched, std::int32_t lightest, ScorerKind scorer,
-    WorkCounters& counters) const {
-  // The dominance argument of sparse_select.hpp: siblings share (capacity,
-  // Fennel factor), so every zero-attraction child with room scores the
-  // same attraction (zero) under a penalty that does not decrease in the
-  // weight, and the lightest (weight, index) child beats all of them. If the
-  // lightest child is attracted instead, a positive attraction at the least
-  // weight beats every zero-attraction child too. Scoring touched ∪
-  // {lightest} in the (score, weight, index) order of BlockChoice therefore
-  // returns the dense scan's winner. If even the lightest child has no room,
-  // none has, and the all-full fallback's answer (most room) is the lightest.
-  if (gathered[static_cast<std::size_t>(lightest)] < 0) {
-    return -1;
-  }
+std::int32_t OnlineMultisection::pick_child_sparse(const MultisectionTree::Block& parent,
+                                                   const StreamedNode& node,
+                                                   const EdgeWeight* gathered,
+                                                   std::span<const std::int32_t> touched,
+                                                   BlockWeights::Slot lightest,
+                                                   ScorerKind scorer,
+                                                   WorkCounters& counters) const {
   const auto first = static_cast<std::size_t>(parent.first_child);
   const NodeWeight capacity = tree_.capacity_of(first);
   const double factor = tree_.penalty_factor_of(first);
   counters.score_evaluations += static_cast<std::uint64_t>(parent.num_children);
-  counters.candidate_evaluations += touched.size() + 1;
-  BlockChoice choice;
-  const auto consider = [&](std::int32_t idx) {
-    const NodeWeight w = weights.load(first + static_cast<std::size_t>(idx));
-    if (w + node.weight > capacity) {
-      return;
-    }
-    const auto attraction = static_cast<double>(gathered[static_cast<std::size_t>(idx)]);
-    const double score =
-        scorer == ScorerKind::kFennel
-            ? attraction - factor * sqrt_(w)
-            : attraction * (1.0 - static_cast<double>(w) / static_cast<double>(capacity));
-    choice.offer(idx, score, w);
-  };
-  for (const std::int32_t idx : touched) {
-    consider(idx);
-  }
-  consider(lightest);
-  return choice.block != kInvalidBlock ? choice.block : lightest;
+  return select_touched_or_lightest(
+      touched, gathered, parent.num_children, lightest, node.weight, capacity,
+      [this, first](std::int32_t idx) {
+        return weights_.load(first + static_cast<std::size_t>(idx));
+      },
+      [&](std::int32_t idx, NodeWeight w) {
+        const auto attraction = static_cast<double>(gathered[static_cast<std::size_t>(idx)]);
+        return scorer == ScorerKind::kFennel
+                   ? attraction - factor * sqrt_(w)
+                   : attraction *
+                         (1.0 - static_cast<double>(w) / static_cast<double>(capacity));
+      },
+      counters);
 }
 
-template <typename WeightsView>
-std::int32_t OnlineMultisection::pick_child(WeightsView weights,
-                                            const MultisectionTree::Block& parent,
+std::int32_t OnlineMultisection::pick_child(const MultisectionTree::Block& parent,
                                             const StreamedNode& node,
                                             std::span<const EdgeWeight> gathered,
                                             ScorerKind scorer, std::size_t parent_id,
-                                            std::int32_t* key_scratch,
                                             WorkCounters& counters) const {
   const std::int32_t children = parent.num_children;
   const auto first = static_cast<std::size_t>(parent.first_child);
@@ -345,28 +312,9 @@ std::int32_t OnlineMultisection::pick_child(WeightsView weights,
         idx -= children;
       }
       const std::size_t child_id = first + static_cast<std::size_t>(idx);
-      if (weights.load(child_id) + node.weight <= tree_.capacity_of(child_id)) {
+      if (weights_.load(child_id) + node.weight <= tree_.capacity_of(child_id)) {
         return idx;
       }
-    }
-  } else if (scorer == ScorerKind::kFennel && parent.fennel_key_scan) {
-    // Exact sparse-candidate selection (see sparse_select.hpp): siblings
-    // share (capacity, alpha) on key-scan layers, so the winner among the
-    // children is recoverable from the attracted children plus the
-    // lexicographic-(weight, index)-min zero-attraction child. Bit-identical
-    // to the dense loop below.
-    counters.score_evaluations += static_cast<std::uint64_t>(children);
-    counters.candidate_evaluations += static_cast<std::uint64_t>(children);
-    const std::int32_t best = sparse_fennel_select(
-        children, node.weight, tree_.capacity_of(first),
-        tree_.penalty_factor_of(first), sqrt_,
-        [&](std::int32_t idx) {
-          return weights.load(first + static_cast<std::size_t>(idx));
-        },
-        [&](std::int32_t idx) { return gathered[static_cast<std::size_t>(idx)]; },
-        key_scratch);
-    if (best >= 0) {
-      return best;
     }
   } else {
     counters.score_evaluations += static_cast<std::uint64_t>(children);
@@ -377,7 +325,7 @@ std::int32_t OnlineMultisection::pick_child(WeightsView weights,
     for (std::int32_t idx = 0; idx < children; ++idx) {
       const std::size_t child_id = first + static_cast<std::size_t>(idx);
       const NodeWeight capacity = tree_.capacity_of(child_id);
-      const NodeWeight w = weights.load(child_id);
+      const NodeWeight w = weights_.load(child_id);
       if (w + node.weight > capacity) {
         continue;
       }
@@ -408,7 +356,7 @@ std::int32_t OnlineMultisection::pick_child(WeightsView weights,
   NodeWeight best_room = std::numeric_limits<NodeWeight>::min();
   for (std::int32_t idx = 0; idx < children; ++idx) {
     const std::size_t child_id = first + static_cast<std::size_t>(idx);
-    const NodeWeight room = tree_.capacity_of(child_id) - weights.load(child_id);
+    const NodeWeight room = tree_.capacity_of(child_id) - weights_.load(child_id);
     if (room > best_room) {
       best_room = room;
       fallback = idx;
@@ -416,14 +364,6 @@ std::int32_t OnlineMultisection::pick_child(WeightsView weights,
   }
   return fallback;
 }
-
-// The offline multipass reference (offline_reference.cpp) scores through the
-// same pick_child; it always runs sequentially, i.e. on the dense layout.
-template std::int32_t
-OnlineMultisection::pick_child(BlockWeights::View<BlockWeights::Layout::kDense>,
-                               const MultisectionTree::Block&, const StreamedNode&,
-                               std::span<const EdgeWeight>, ScorerKind, std::size_t,
-                               std::int32_t*, WorkCounters&) const;
 
 void OnlineMultisection::unassign(NodeId u, NodeWeight weight) {
   const BlockId leaf = assignment_.load(u);

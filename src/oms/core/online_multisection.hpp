@@ -13,6 +13,13 @@
 ///  * nh-OMS — only k is given; an artificial base-b hierarchy (Algorithm 2)
 ///    turns the multi-section into a general graph partitioner with running
 ///    time O((m + n b) log_b k) (Theorem 4) instead of Fennel's O(m + n k).
+///
+/// Every quality layer whose children share a capacity selects like flat
+/// Fennel/LDG: it scores the touched children plus the lightest one
+/// (select_touched_or_lightest, partition/flat_block_loads.hpp). Sequential
+/// passes find that child in a MinLoadTree on wide layers; narrow layers and
+/// concurrent passes take one min scan over the children. All threads share
+/// one dense BlockWeights array, as the paper's Section 3.4 does.
 #pragma once
 
 #include <optional>
@@ -97,47 +104,37 @@ private:
                      NodeWeight total_node_weight, MultisectionTree tree,
                      std::optional<SystemHierarchy> topology, const OmsConfig& config);
 
-  /// The descent body, stamped out per weight layout so the per-child weight
-  /// loads carry a compile-time stride (a runtime stride measurably slows
-  /// the wide layers). assign() dispatches once per node.
-  template <typename WeightsView>
-  BlockId assign_impl(WeightsView weights, const StreamedNode& node, int thread_id,
-                      WorkCounters& counters);
-
   /// Pick a child of \p parent for \p node by scanning all of its children;
   /// gathered[i] holds the weight of node's neighbors already assigned below
-  /// child i. Serves the layers without a min-load tree: narrow, unequal or
-  /// hashing layers, and every layer of a concurrent pass. \p key_scratch
-  /// must hold at least parent.num_children slots (used by the sparse Fennel
-  /// key scan). Defined in online_multisection.cpp; the dense instantiation
-  /// is exported for the offline reference.
-  template <typename WeightsView>
-  [[nodiscard]] std::int32_t pick_child(WeightsView weights,
-                                        const MultisectionTree::Block& parent,
+  /// child i. Serves the hashing layers and the quality layers without
+  /// equal_children_monotone_penalty, and is the offline reference's oracle.
+  [[nodiscard]] std::int32_t pick_child(const MultisectionTree::Block& parent,
                                         const StreamedNode& node,
                                         std::span<const EdgeWeight> gathered,
                                         ScorerKind scorer, std::size_t parent_id,
-                                        std::int32_t* key_scratch,
                                         WorkCounters& counters) const;
 
-  /// The same choice as pick_child on a layer with a min-load tree, from the
-  /// \p touched children plus the \p lightest one. Returns -1 if the lightest
-  /// child has negative attraction (possible only with negative edge
-  /// weights), where the dominance argument does not hold.
-  template <typename WeightsView>
-  [[nodiscard]] std::int32_t pick_child_sparse(
-      WeightsView weights, const MultisectionTree::Block& parent,
-      const StreamedNode& node, const EdgeWeight* gathered,
-      std::span<const std::int32_t> touched, std::int32_t lightest,
-      ScorerKind scorer, WorkCounters& counters) const;
+  /// The same choice as pick_child on a quality layer whose children share
+  /// (capacity, Fennel factor): select_touched_or_lightest over the
+  /// \p touched children and \p lightest, the lightest child (an index
+  /// below \p parent) with the weight it was read at.
+  [[nodiscard]] std::int32_t pick_child_sparse(const MultisectionTree::Block& parent,
+                                               const StreamedNode& node,
+                                               const EdgeWeight* gathered,
+                                               std::span<const std::int32_t> touched,
+                                               BlockWeights::Slot lightest,
+                                               ScorerKind scorer,
+                                               WorkCounters& counters) const;
 
   /// Sequential passes keep a MinLoadTree over the children of every quality
   /// layer parent whose children share (capacity, Fennel factor) and number
-  /// at least kMinTreeFanout. Measured: on fan-out 4 the tree upkeep costs
-  /// more than the O(b) key scan it saves, on fan-out 8 they break even.
+  /// at least kMinTreeFanout; narrower layers and concurrent passes find the
+  /// lightest child with one min scan. Measured: on fan-out 4 the tree upkeep
+  /// costs more than the O(b) scan it saves, on fan-out 8 they break even.
   static constexpr std::int32_t kMinTreeFanout = 16;
   [[nodiscard]] bool keeps_min_tree(const MultisectionTree::Block& parent) const noexcept {
-    return parent.fennel_key_scan && parent.num_children >= kMinTreeFanout &&
+    return parent.equal_children_monotone_penalty &&
+           parent.num_children >= kMinTreeFanout &&
            parent.depth < config_.quality_layers;
   }
   /// Children are contiguous, so \p parent's tree sits at 2 * first_child in
@@ -165,7 +162,6 @@ private:
     std::vector<BlockId> leaves;
     std::vector<EdgeWeight> edge_weights;
     std::vector<std::int32_t> touched; // one slot per frontier entry
-    std::vector<std::int32_t> key_scratch; // pick_child's sparse key scan
   };
 
   /// Hybrid descents (quality_layers < height): adds the cut and J of the

@@ -4,9 +4,11 @@
 ///        |V_i intersect N(v)| - alpha * gamma * c(V_i)^(gamma-1) among blocks
 ///        with room, with gamma = 3/2 and alpha = sqrt(k) m / n^(3/2).
 ///        The paper models it at O(m + n*k) per pass — the state of the art
-///        it races against. A sequential pass with the tuned objective
-///        selects exactly in O(deg + log k) per node through a MinLoadTree;
-///        concurrent passes and untuned objectives scan all k blocks.
+///        it races against. Here every pass scores only the touched blocks
+///        plus the lightest one (flat_block_loads.hpp), with the exact
+///        result of the dense scan: O(deg + log k) per node on a sequential
+///        pass, which keeps a MinLoadTree, and O(deg + k) integer loads plus
+///        O(deg) scores on a concurrent pass.
 #pragma once
 
 #include <vector>
@@ -59,7 +61,6 @@ private:
   struct Scratch {
     std::vector<EdgeWeight> neighbor_weight;
     std::vector<BlockId> touched;
-    std::vector<std::int32_t> candidates; // sparse-scan scratch, size k
   };
 
   PartitionConfig config_;
@@ -69,9 +70,8 @@ private:
   /// left-associated product inside fennel_penalty().
   double penalty_factor_;
   bool tuned_gamma_; ///< gamma == 3/2: penalty is penalty_factor_ * sqrt(w)
-  bool sparse_scan_; ///< exact sparse-candidate scan applicable (see assign)
   AssignmentArray assignment_;
-  FlatBlockLoads loads_; ///< tree live on sequential passes with sparse_scan_
+  FlatBlockLoads loads_; ///< tree live on sequential passes
   SqrtCache sqrt_; ///< covers [0, max_block_weight_]
   std::vector<Scratch> scratch_;
 };

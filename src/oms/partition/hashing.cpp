@@ -20,7 +20,6 @@ void HashingPartitioner::prepare(int /*num_threads*/) {}
 BlockId HashingPartitioner::assign(const StreamedNode& node, int /*thread_id*/,
                                    WorkCounters& counters) {
   const auto k = static_cast<std::uint64_t>(config_.k);
-  const auto weights = weights_.view<BlockWeights::Layout::kDense>();
   auto block = static_cast<BlockId>(
       splitmix64(static_cast<std::uint64_t>(node.id) ^ config_.seed) % k);
   // Balance fallback: probe forward until a block has room. With eps > 0 the
@@ -30,20 +29,15 @@ BlockId HashingPartitioner::assign(const StreamedNode& node, int /*thread_id*/,
     const auto b = static_cast<std::size_t>((block + probes) % config_.k);
     counters.score_evaluations += 1;
     counters.candidate_evaluations += 1;
-    if (weights.try_add(b, node.weight, max_block_weight_)) {
+    if (weights_.try_add(b, node.weight, max_block_weight_)) {
       assignment_[node.id] = static_cast<BlockId>(b);
       counters.layers_traversed += 1;
       return static_cast<BlockId>(b);
     }
   }
   // Degenerate fallback (eps == 0 with awkward weights): least-loaded block.
-  std::size_t best = 0;
-  for (std::size_t b = 1; b < weights_.size(); ++b) {
-    if (weights.load(b) < weights.load(best)) {
-      best = b;
-    }
-  }
-  weights.add(best, node.weight);
+  const std::size_t best = weights_.lightest(0, weights_.size()).block;
+  weights_.add(best, node.weight);
   assignment_[node.id] = static_cast<BlockId>(best);
   return static_cast<BlockId>(best);
 }

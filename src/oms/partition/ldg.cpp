@@ -39,37 +39,20 @@ BlockId LdgPartitioner::assign(const StreamedNode& node, int thread_id,
     assigned += node.edge_weights[i];
   }
 
-  // Score attraction * remaining-capacity penalty. The dense view gives the
-  // k-wide scan a compile-time unit stride.
-  const auto weights = loads_.view();
-  const EdgeWeight* const neighbor_weight = scratch.neighbor_weight.data();
-  const NodeWeight max_weight = max_block_weight_;
+  // Score attraction * remaining-capacity penalty; ties go to the lighter
+  // block (paper / Stanton-Kliot rule). All blocks at capacity (eps = 0 with
+  // uneven node weights, or transiently under parallel overshoot): select()
+  // falls back to the lightest block.
   counters.score_evaluations += static_cast<std::uint64_t>(config_.k);
-  // Ties go to the lighter block (paper / Stanton-Kliot rule). Zero-attraction
-  // blocks all score 0, so the tree path's lightest block stands for them.
-  BlockChoice choice;
-  const auto consider = [&](BlockId b) {
-    const NodeWeight w = weights.load(static_cast<std::size_t>(b));
-    if (w + node.weight > max_weight) {
-      return;
-    }
-    const double penalty =
-        1.0 - static_cast<double>(w) / static_cast<double>(max_weight);
-    choice.offer(b, static_cast<double>(neighbor_weight[static_cast<std::size_t>(b)]) *
-                        penalty,
-                 w);
-  };
-  if (loads_.tree_live()) {
-    loads_.select_sparse(scratch.touched, consider, counters);
-  } else {
-    counters.candidate_evaluations += static_cast<std::uint64_t>(config_.k);
-    for (BlockId b = 0; b < config_.k; ++b) {
-      consider(b);
-    }
-  }
-  // All blocks at capacity (eps = 0 with uneven node weights, or transiently
-  // under parallel overshoot): fall back to the globally lightest block.
-  const BlockId best = choice.block != kInvalidBlock ? choice.block : loads_.lightest();
+  const EdgeWeight* const attraction = scratch.neighbor_weight.data();
+  const auto max_weight = static_cast<double>(max_block_weight_);
+  const BlockId best = loads_.select(
+      scratch.touched, attraction, node.weight, max_block_weight_,
+      [&](BlockId b, NodeWeight w) {
+        return static_cast<double>(attraction[static_cast<std::size_t>(b)]) *
+               (1.0 - static_cast<double>(w) / max_weight);
+      },
+      counters);
   // Every assigned neighbour outside best cuts its edge (counted_quality).
   counters.cut += assigned - scratch.neighbor_weight[static_cast<std::size_t>(best)];
 

@@ -2,8 +2,9 @@
 /// \brief Linear Deterministic Greedy (Stanton & Kliot): assign node v to the
 ///        block maximizing |V_i intersect N(v)| * (1 - c(V_i)/Lmax), breaking
 ///        ties towards the lighter block. O(m + n*k) over a pass in the
-///        paper's model; a sequential pass selects exactly in O(deg + log k)
-///        per node through a MinLoadTree, concurrent passes scan all k.
+///        paper's model; here every pass scores only the touched blocks plus
+///        the lightest one (flat_block_loads.hpp), O(deg + log k) per node
+///        on a sequential pass and one k-wide min scan on a concurrent one.
 #pragma once
 
 #include <vector>

@@ -81,13 +81,7 @@ void WindowPartitioner::flush_one(WorkCounters& counters) {
     }
   }
   if (best == kInvalidBlock) {
-    best = 0;
-    for (BlockId b = 1; b < k_; ++b) {
-      if (weights_.load(static_cast<std::size_t>(b)) <
-          weights_.load(static_cast<std::size_t>(best))) {
-        best = b;
-      }
-    }
+    best = static_cast<BlockId>(weights_.lightest(0, weights_.size()).block);
   }
   weights_.add(static_cast<std::size_t>(best), slot.weight);
   assignment_[slot.id] = best;

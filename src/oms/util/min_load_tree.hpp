@@ -1,13 +1,14 @@
 /// \file min_load_tree.hpp
 /// \brief Tournament tree over k slots that keeps the lexicographic minimum
-///        of (load, index) — the one zero-attraction block that can win an
-///        exact Fennel/LDG/HDRF block selection (see partition/sparse_select.hpp
+///        of (load, index) — the one untouched block that can win an exact
+///        Fennel/LDG/HDRF block selection (see partition/flat_block_loads.hpp
 ///        for the dominance argument).
 ///
 /// Users: sequential flat Fennel and LDG (partition/flat_block_loads.hpp),
 /// HDRF (edgepart/hdrf.hpp), and the sequential multi-section descent, which
 /// keeps one tree per wide parent over its children in one flat forest
-/// (core/online_multisection.hpp).
+/// (core/online_multisection.hpp). Where no tree is kept, the same slot comes
+/// from one min scan over the loads (BlockWeights::lightest).
 ///
 /// Internal node p holds the winning slot of its children 2p and 2p+1; leaf
 /// k + i stands for slot i. Because the (load, index) order is total, node 1
@@ -16,7 +17,7 @@
 /// keeps no second copy of the weights: after a slot's load changes, the
 /// caller reports it with update(). O(k) build, O(log k) update, O(1) query,
 /// 2k int32 of state. Single-writer: racy concurrent load updates cannot keep
-/// it consistent, which is why the parallel paths keep their dense scans.
+/// it consistent, which is why concurrent passes use the min scan instead.
 #pragma once
 
 #include <cstdint>

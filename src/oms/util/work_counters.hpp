@@ -24,8 +24,11 @@ struct WorkCounters {
   /// Fennel/LDG. A model counter: the flat algorithms add k per node even
   /// when their exact selection scores fewer blocks.
   std::uint64_t score_evaluations = 0;
-  /// Blocks actually scored (measured): k per node on the dense scans,
-  /// |attracted| + 1 on the sequential tree-backed Fennel/LDG selection.
+  /// Blocks actually scored (measured): per Fennel/LDG node, and per OMS
+  /// layer whose children share a capacity, the touched blocks plus the
+  /// lightest one if it is untouched (all blocks if the lightest is
+  /// repelled), so never more than score_evaluations; all children on the
+  /// other dense OMS layers, one per hashed layer.
   std::uint64_t candidate_evaluations = 0;
   /// Neighbor inspections; Theorem 2 predicts ~ m * l for OMS and ~ m for
   /// flat one-pass algorithms (each endpoint visited once).

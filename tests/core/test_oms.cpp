@@ -209,10 +209,10 @@ TEST(Oms, StateBytesIsOrderNPlusK) {
   const NodeId n = 50000;
   const SystemHierarchy topo = SystemHierarchy::parse("4:16:8", "1:10:100");
   OnlineMultisection oms(n, 100000, n, topo, default_config());
-  // Theorem 1: O(n + k) memory. The per-block constant covers one padded
-  // cache line of weight (contention-free layout) plus the tree block with
-  // its precomputed descent accelerators; Lemma 1 bounds the tree at 2k
-  // blocks.
+  // Theorem 1: O(n + k) memory. The per-block constant covers a dense
+  // weight slot and two min-load tree slots (16 of the 64 bytes allowed)
+  // plus the tree block with its precomputed descent accelerators; Lemma 1
+  // bounds the tree at 2k blocks.
   const std::uint64_t k = static_cast<std::uint64_t>(topo.num_pes());
   EXPECT_LE(oms.state_bytes(),
             n * sizeof(BlockId) + 2 * k * (64 + sizeof(MultisectionTree::Block)));

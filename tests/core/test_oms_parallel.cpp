@@ -89,8 +89,9 @@ TEST(OmsParallelWide, InMemoryAndPipelinedMappingInvariants) {
     verify_partition(g, r.assignment, topo.num_pes());
     EXPECT_TRUE(is_balanced(g, r.assignment, topo.num_pes(), 0.05));
     EXPECT_EQ(r.work.layers_traversed, static_cast<std::uint64_t>(g.num_nodes()) * 3);
-    // No trees: every quality layer scans all of its children.
-    EXPECT_EQ(r.work.candidate_evaluations, r.work.score_evaluations);
+    // No trees, but every quality layer still scores only the touched
+    // children plus the lightest one (found by a min scan).
+    EXPECT_LT(r.work.candidate_evaluations, r.work.score_evaluations / 2);
   }
   std::remove(path.c_str());
 }

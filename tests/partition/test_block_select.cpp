@@ -1,8 +1,8 @@
 /// \file test_block_select.cpp
 /// \brief Differential suite for the exact sublinear block selection: the
-///        sequential Fennel, LDG and HDRF partitioners (MinLoadTree-backed)
-///        against test-only copies of the dense O(k) scans they replaced,
-///        plus MinLoadTree unit tests. Randomness derives from OMS_TEST_SEED;
+///        Fennel and LDG partitioners (touched blocks plus the lightest one,
+///        from a MinLoadTree or a min scan) and HDRF against test-only copies
+///        of the dense O(k) scans they replaced, plus MinLoadTree unit tests. Randomness derives from OMS_TEST_SEED;
 ///        every failure prints the seed that reproduces it.
 #include "oms/util/min_load_tree.hpp"
 
@@ -106,7 +106,7 @@ TEST(MinLoadTree, MatchesBruteForceUnderIncrementsAndDecrements) {
 // Node streams: Fennel and LDG against their dense scans
 // ---------------------------------------------------------------------------
 
-enum class NodeWeights { kUnit, kWeighted, kWithZeros };
+enum class NodeWeights { kUnit, kWeighted, kWithZeros, kHuge };
 
 /// Locality-heavy random graph (so attraction matters) with a few long
 /// edges; edge weights are unit or 1..4, node weights per \p mode.
@@ -120,6 +120,9 @@ CsrGraph random_graph(NodeId n, NodeWeights mode, bool weighted_edges,
       w = 1 + static_cast<NodeWeight>(rng.next_below(5));
     } else if (mode == NodeWeights::kWithZeros) {
       w = rng.next_bool(0.25) ? 0 : 1 + static_cast<NodeWeight>(rng.next_below(3));
+    } else if (mode == NodeWeights::kHuge) {
+      // Block capacities of 2^31 and more at the k and n used here.
+      w = (NodeWeight{1} << 28) + static_cast<NodeWeight>(rng.next_below(1U << 28));
     }
     builder.set_node_weight(u, w);
   }
@@ -141,12 +144,13 @@ enum class Scorer { kFennel, kLdg };
 
 /// Test-only copy of the dense O(k) scans (ascending blocks, best score, then
 /// lighter block, all-full fallback to the lightest block), over \p passes
-/// restreaming passes. Counts all-full fallbacks into \p fallbacks.
+/// restreaming passes; Fennel scores with \p params. Counts all-full
+/// fallbacks into \p fallbacks.
 std::vector<BlockId> dense_reference(const CsrGraph& g, const PartitionConfig& pc,
-                                     Scorer scorer, int passes, int& fallbacks) {
+                                     Scorer scorer, const FennelParams& params,
+                                     int passes, int& fallbacks) {
   const BlockId k = pc.k;
   const NodeWeight cap = max_block_weight(g.total_node_weight(), k, pc.epsilon);
-  const FennelParams params = FennelParams::standard(g.num_nodes(), g.num_edges(), k);
   std::vector<NodeWeight> load(static_cast<std::size_t>(k), 0);
   std::vector<EdgeWeight> gathered(static_cast<std::size_t>(k), 0);
   std::vector<BlockId> assignment(g.num_nodes(), kInvalidBlock);
@@ -202,14 +206,19 @@ std::vector<BlockId> dense_reference(const CsrGraph& g, const PartitionConfig& p
   return assignment;
 }
 
-/// Calls \p body with a factory of fresh assigners of \p scorer's type.
+FennelParams standard_params(const CsrGraph& g, const PartitionConfig& pc) {
+  return FennelParams::standard(g.num_nodes(), g.num_edges(), pc.k);
+}
+
+/// Calls \p body with a factory of fresh assigners of \p scorer's type;
+/// Fennel scores with \p params.
 template <typename Body>
 void with_assigner(const CsrGraph& g, const PartitionConfig& pc, Scorer scorer,
-                   const Body& body) {
+                   const FennelParams& params, const Body& body) {
   if (scorer == Scorer::kFennel) {
     body([&] {
-      return std::make_unique<FennelPartitioner>(g.num_nodes(), g.num_edges(),
-                                                 g.total_node_weight(), pc);
+      return std::make_unique<FennelPartitioner>(g.num_nodes(), g.total_node_weight(),
+                                                 pc, params);
     });
   } else {
     body([&] {
@@ -237,16 +246,17 @@ void check_node_scorer(Scorer scorer) {
 
         // One pass through the streaming driver, then a 3-pass restream
         // (unassign decrements the tree) against the dense reference.
-        with_assigner(g, pc, scorer, [&](const auto& make) {
+        const FennelParams params = standard_params(g, pc);
+        with_assigner(g, pc, scorer, params, [&](const auto& make) {
           auto one = make();
           const StreamResult r = run_one_pass(g, *one, 1);
-          ASSERT_EQ(r.assignment, dense_reference(g, pc, scorer, 1, fallbacks));
+          ASSERT_EQ(r.assignment, dense_reference(g, pc, scorer, params, 1, fallbacks));
           EXPECT_LE(r.work.candidate_evaluations,
                     static_cast<std::uint64_t>(g.num_nodes()) + g.num_arcs());
 
           auto re = make();
           ASSERT_EQ(restream(g, *re, 3).assignment,
-                    dense_reference(g, pc, scorer, 3, fallbacks));
+                    dense_reference(g, pc, scorer, params, 3, fallbacks));
         });
       }
     }
@@ -261,14 +271,15 @@ TEST(BlockSelect, FennelTreeMatchesDenseScan) { check_node_scorer(Scorer::kFenne
 TEST(BlockSelect, LdgTreeMatchesDenseScan) { check_node_scorer(Scorer::kLdg); }
 
 TEST(BlockSelect, ConcurrentPrepareKeepsTheDenseScan) {
-  // prepare(threads > 1) disables the tree; one thread driving the
-  // partitioner then must still produce the sequential answer.
+  // prepare(threads > 1) keeps no tree and finds the lightest block by a
+  // min scan; one thread driving the partitioner then must still produce
+  // the sequential answer, from the same candidates.
   SCOPED_TRACE(seed_note());
   const CsrGraph g = random_graph(1200, NodeWeights::kWeighted, true, draw_seed(999));
   PartitionConfig pc;
   pc.k = 65;
   for (const Scorer scorer : {Scorer::kFennel, Scorer::kLdg}) {
-    with_assigner(g, pc, scorer, [&](const auto& make) {
+    with_assigner(g, pc, scorer, standard_params(g, pc), [&](const auto& make) {
       auto tree = make();
       auto dense = make();
       tree->prepare(1);
@@ -280,10 +291,99 @@ TEST(BlockSelect, ConcurrentPrepareKeepsTheDenseScan) {
         ASSERT_EQ(tree->assign(node, 0, tree_work), dense->assign(node, 0, dense_work));
       }
       EXPECT_EQ(tree_work.score_evaluations, dense_work.score_evaluations);
-      EXPECT_EQ(dense_work.candidate_evaluations,
-                static_cast<std::uint64_t>(g.num_nodes()) * 65U);
-      EXPECT_LT(tree_work.candidate_evaluations, dense_work.candidate_evaluations);
+      EXPECT_EQ(tree_work.candidate_evaluations, dense_work.candidate_evaluations);
+      EXPECT_LT(dense_work.candidate_evaluations,
+                static_cast<std::uint64_t>(g.num_nodes()) * 65U / 4);
     });
+  }
+}
+
+/// Drives \p p over \p g's nodes in order from one thread after
+/// prepare(\p threads) and returns the assignment.
+std::vector<BlockId> drive_one_thread(const CsrGraph& g, OnePassAssigner& p, int threads) {
+  p.prepare(threads);
+  WorkCounters work;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    (void)p.assign({u, g.node_weight(u), g.neighbors(u), g.incident_weights(u)}, 0, work);
+  }
+  return p.take_assignment();
+}
+
+TEST(BlockSelect, FennelObjectivesOffTheTunedPathMatchDenseScan) {
+  // alpha = 0 (a constant penalty), gamma = 2 (std::pow, no sqrt cache) and
+  // capacities of 2^31 and more take the same rule as the tuned objective.
+  SCOPED_TRACE(seed_note());
+  int fallbacks = 0;
+  std::uint64_t draw = 500;
+  for (const BlockId k : {2, 63, 129}) {
+    for (const double eps : {0.0, 0.03}) {
+      PartitionConfig pc;
+      pc.k = k;
+      pc.epsilon = eps;
+      const CsrGraph weighted = random_graph(900, NodeWeights::kWeighted, true, draw_seed(++draw));
+      const CsrGraph huge = random_graph(900, NodeWeights::kHuge, true, draw_seed(++draw));
+      ASSERT_GE(max_block_weight(huge.total_node_weight(), k, eps), NodeWeight{1} << 31);
+      FennelParams no_alpha = standard_params(weighted, pc);
+      no_alpha.alpha = 0.0;
+      FennelParams quadratic = standard_params(weighted, pc);
+      quadratic.gamma = 2.0;
+      const struct {
+        const char* name;
+        const CsrGraph& graph;
+        FennelParams params;
+      } cases[] = {{"alpha=0", weighted, no_alpha},
+                   {"gamma=2", weighted, quadratic},
+                   {"huge", huge, standard_params(huge, pc)}};
+      for (const auto& c : cases) {
+        for (const Scorer scorer : {Scorer::kFennel, Scorer::kLdg}) {
+          for (const int threads : {1, 2}) {
+            SCOPED_TRACE(std::string(c.name) + " k=" + std::to_string(k) +
+                         " eps=" + std::to_string(eps) + " threads=" +
+                         std::to_string(threads));
+            with_assigner(c.graph, pc, scorer, c.params, [&](const auto& make) {
+              auto p = make();
+              ASSERT_EQ(drive_one_thread(c.graph, *p, threads),
+                        dense_reference(c.graph, pc, scorer, c.params, 1, fallbacks));
+            });
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(fallbacks, 0);
+}
+
+TEST(BlockSelect, NegativeEdgeWeightsFallBackToTheScan) {
+  // The METIS reader rejects edge weights below 1, but a library caller can
+  // still hand the assigner such a StreamedNode. Sixteen isolated nodes
+  // fill the sixteen blocks evenly, so block 0 is the lightest; node 16 is
+  // repelled from it (attraction -5). An unattracted block must win, as in
+  // the dense scan, although no attracted block but block 0 exists.
+  PartitionConfig pc;
+  pc.k = 16;
+  const std::vector<NodeId> neighbor{0};
+  const std::vector<EdgeWeight> repulsion{-5};
+  for (const Scorer scorer : {Scorer::kFennel, Scorer::kLdg}) {
+    const FennelParams params = FennelParams::standard(17, 1, pc.k);
+    std::unique_ptr<OnePassAssigner> tree;
+    std::unique_ptr<OnePassAssigner> scan;
+    if (scorer == Scorer::kFennel) {
+      tree = std::make_unique<FennelPartitioner>(17, 17, pc, params);
+      scan = std::make_unique<FennelPartitioner>(17, 17, pc, params);
+    } else {
+      tree = std::make_unique<LdgPartitioner>(17, 17, pc);
+      scan = std::make_unique<LdgPartitioner>(17, 17, pc);
+    }
+    tree->prepare(1);
+    scan->prepare(2);
+    WorkCounters counters;
+    for (NodeId u = 0; u <= 16; ++u) {
+      const StreamedNode node = u < 16 ? StreamedNode{u, 1, {}, {}}
+                                       : StreamedNode{u, 1, neighbor, repulsion};
+      ASSERT_EQ(tree->assign(node, 0, counters), scan->assign(node, 0, counters))
+          << "node " << u;
+    }
+    EXPECT_EQ(tree->block_of(16), 1);
   }
 }
 

@@ -147,55 +147,23 @@ TEST(BlockWeights, ConcurrentIncrementsAreLossless) {
   EXPECT_EQ(w.load(1), 50000);
 }
 
-TEST(BlockWeights, SetLayoutPreservesValues) {
-  BlockWeights w(5);
-  for (std::size_t i = 0; i < 5; ++i) {
-    w.add(i, static_cast<NodeWeight>(10 * i + 1));
+TEST(BlockWeights, LightestIsTheMinimumWeightThenTheLowestIndex) {
+  const std::vector<NodeWeight> start{9, 3, 4, 9, 4, 3};
+  BlockWeights w(start.size());
+  for (std::size_t i = 0; i < start.size(); ++i) {
+    w.add(i, start[i]);
   }
-  const std::uint64_t dense_bytes = w.footprint_bytes();
-  w.set_layout(BlockWeights::Layout::kPadded);
-  EXPECT_EQ(w.footprint_bytes(), dense_bytes * 8); // one cache line per slot
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(w.load(i), static_cast<NodeWeight>(10 * i + 1));
-  }
-  EXPECT_EQ(w.total(), 1 + 11 + 21 + 31 + 41);
-  w.set_layout(BlockWeights::Layout::kDense);
-  EXPECT_EQ(w.footprint_bytes(), dense_bytes);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(w.load(i), static_cast<NodeWeight>(10 * i + 1));
-  }
-}
-
-TEST(BlockWeights, ViewsMatchGenericAccessors) {
-  BlockWeights w(4, BlockWeights::Layout::kPadded);
-  const auto padded = w.view<BlockWeights::Layout::kPadded>();
-  padded.add(2, 7);
-  padded.add(3, 9);
-  EXPECT_EQ(w.load(2), 7);
-  EXPECT_EQ(padded.load(3), 9);
-  w.set_layout(BlockWeights::Layout::kDense);
-  const auto dense = w.view<BlockWeights::Layout::kDense>();
-  EXPECT_EQ(dense.load(2), 7);
-  dense.add(2, -7);
-  EXPECT_EQ(w.load(2), 0);
-}
-
-TEST(BlockWeights, ConcurrentIncrementsAreLosslessWhenPadded) {
-  BlockWeights w(3, BlockWeights::Layout::kPadded);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&w] {
-      for (int i = 0; i < 11250; ++i) {
-        w.add(static_cast<std::size_t>(i % 3), 1);
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(w.load(0), 30000);
-  EXPECT_EQ(w.load(1), 30000);
-  EXPECT_EQ(w.load(2), 30000);
+  // The first 3 wins overall, and the first 4 inside [2, 5).
+  const BlockWeights::Slot all = w.lightest(0, 6);
+  EXPECT_EQ(all.block, 1U);
+  EXPECT_EQ(all.weight, 3);
+  const BlockWeights::Slot inner = w.lightest(2, 5);
+  EXPECT_EQ(inner.block, 2U);
+  EXPECT_EQ(inner.weight, 4);
+  EXPECT_EQ(w.lightest(3, 4).block, 3U);
+  w.add(5, -4);
+  EXPECT_EQ(w.lightest(0, 6).block, 5U);
+  EXPECT_EQ(w.lightest(0, 6).weight, -1);
 }
 
 TEST(MetisStream, HeaderAndNodeCount) {
