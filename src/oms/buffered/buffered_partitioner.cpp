@@ -488,12 +488,13 @@ void BufferedPartitioner::process_buffer(const NodeBatch& batch) {
   }
   OMS_ASSERT_MSG(batch.first_id() + batch.size() <= assignment_.size(),
                  "batch extends past the announced node count");
-  const std::span<const EdgeWeight> weights = batch.all_edge_weights();
-  const bool unit = std::all_of(weights.begin(), weights.end(),
-                                [](EdgeWeight w) { return w == 1; });
   // Blocks are committed (never invalid) by the time anything reads a local
   // slot, so 16 bits suffice whenever k fits them. Unit edge weights (the
-  // common streaming case) drop the weight arrays from every hot loop.
+  // common streaming case) drop the weight arrays from every hot loop; the
+  // batch knows it has them (no per-arc weights stored), so nothing is
+  // scanned. A weighted batch whose weights all happen to be 1 takes the
+  // weighted kernel, which computes the same sums.
+  const bool unit = batch.has_unit_edge_weights();
   const bool small_k = static_cast<std::uint64_t>(k_) <=
                        std::numeric_limits<std::uint16_t>::max() + std::uint64_t{1};
   if (small_k && unit) {

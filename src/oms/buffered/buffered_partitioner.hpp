@@ -23,6 +23,9 @@
 /// The in-memory buffered_partition() entry point and the disk stream are
 /// both run_stream (stream/pipeline.hpp) over this core, fed identical
 /// batches, so their partitions coincide bit for bit on the same node order.
+/// Each batch picks its kernel from NodeBatch::has_unit_edge_weights(): a
+/// batch parsed from an unweighted file, or borrowed from a unit-weight
+/// graph, runs the kernel without weight arrays, with no scan of its arcs.
 #pragma once
 
 #include <cstdint>

@@ -25,6 +25,17 @@ namespace {
   return tree;
 }
 
+/// The largest capacity below the root. Only children are scored, and only
+/// at weights that leave room for the node, so no Fennel penalty argument
+/// exceeds it; a concurrent overshoot past it falls back to std::sqrt.
+[[nodiscard]] NodeWeight max_child_capacity(const MultisectionTree& tree) {
+  NodeWeight capacity = 0;
+  for (std::size_t id = 1; id < tree.num_blocks(); ++id) {
+    capacity = std::max(capacity, tree.capacity_of(id));
+  }
+  return capacity;
+}
+
 } // namespace
 
 OnlineMultisection::OnlineMultisection(NodeId num_nodes, EdgeIndex num_edges,
@@ -52,7 +63,7 @@ OnlineMultisection::OnlineMultisection(NodeId num_nodes, EdgeIndex num_edges,
       config_(config),
       assignment_(num_nodes),
       weights_(tree_.num_blocks()),
-      sqrt_(tree_.root().capacity),
+      sqrt_(max_child_capacity(tree_)),
       topology_(std::move(topology)),
       split_distance_(static_cast<std::size_t>(tree_.height()), 0) {
   for (std::size_t id = 0; id < tree_.num_blocks(); ++id) {

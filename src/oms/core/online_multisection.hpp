@@ -177,7 +177,7 @@ private:
   OmsConfig config_;
   AssignmentArray assignment_;
   BlockWeights weights_; // one per tree block, atomics (Section 3.4)
-  SqrtCache sqrt_; // covers [0, root capacity]: every Fennel penalty argument
+  SqrtCache sqrt_; // covers [0, largest child capacity]: every penalty argument
   std::vector<DescentScratch> scratch_; // per thread
   std::int32_t max_children_ = 0;
   /// Flat forest of the min-load trees, 2 int32 per block id (see

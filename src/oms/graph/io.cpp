@@ -20,15 +20,9 @@ void write_metis(const CsrGraph& graph, const std::string& path) {
   OMS_ASSERT_MSG(out.good(), "cannot open file for writing");
 
   bool node_weights = false;
-  bool edge_weights = false;
+  const bool edge_weights = !graph.has_unit_edge_weights();
   for (NodeId u = 0; u < graph.num_nodes() && !node_weights; ++u) {
     node_weights = graph.node_weight(u) != 1;
-  }
-  for (const EdgeWeight w : graph.raw_adjwgt()) {
-    if (w != 1) {
-      edge_weights = true;
-      break;
-    }
   }
 
   out << graph.num_nodes() << ' ' << graph.num_edges();
@@ -62,14 +56,7 @@ void write_edge_list(const CsrGraph& graph, const std::string& path) {
   std::ofstream out(path);
   OMS_ASSERT_MSG(out.good(), "cannot open file for writing");
 
-  bool edge_weights = false;
-  for (const EdgeWeight w : graph.raw_adjwgt()) {
-    if (w != 1) {
-      edge_weights = true;
-      break;
-    }
-  }
-
+  const bool edge_weights = !graph.has_unit_edge_weights();
   out << "# edge list of " << graph.num_nodes() << " nodes, "
       << graph.num_edges() << " edges\n";
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
@@ -96,7 +83,8 @@ namespace {
 /// exactly the rows GraphBuilder assembles from the arcs with u < v. One
 /// pass: cursor[v] is the first unmatched slot of row v, and rows u < v
 /// match the arcs to lower ids at the front of row v in ascending order, so
-/// when row u comes up, its lower part must be matched already.
+/// when row u comes up, its lower part must be matched already. Rows
+/// without edge weights (a unit-weight file) match on ids alone.
 [[nodiscard]] bool rows_are_canonical(const NodeBatch::Storage& rows) {
   const std::size_t n = rows.weights.size();
   const auto& xadj = rows.offsets;
@@ -112,7 +100,7 @@ namespace {
       }
       EdgeIndex& reverse = cursor[v];
       if (reverse == xadj[v + 1] || adjncy[reverse] != u ||
-          adjwgt[reverse] != adjwgt[i]) {
+          (!adjwgt.empty() && adjwgt[reverse] != adjwgt[i])) {
         return false;
       }
       ++reverse;
@@ -141,9 +129,10 @@ CsrGraph read_metis(const std::string& path) {
           std::min<std::uintmax_t>(2 * header.num_edges, bytes / 2));
     }
   }
-  // The whole file as one batch: its owned storage is the CSR layout.
+  // The whole file as one batch: its owned storage is the CSR layout, with
+  // no edge weights at all for a file without them.
   NodeBatch batch;
-  batch.reserve(header.num_nodes, arcs);
+  batch.reserve(header.num_nodes, arcs, header.has_edge_weights);
   stream->fill_batch(batch, header.num_nodes);
   stream.reset(); // free the chunk buffer before the CSR is finished
   NodeBatch::Storage rows = std::move(batch).release();
@@ -170,7 +159,8 @@ CsrGraph read_metis(const std::string& path) {
       }
       for (EdgeIndex i = rows.offsets[u]; i < rows.offsets[u + 1]; ++i) {
         if (u < rows.neighbors[i]) {
-          builder.add_edge(u, rows.neighbors[i], rows.edge_weights[i]);
+          builder.add_edge(u, rows.neighbors[i],
+                           rows.edge_weights.empty() ? 1 : rows.edge_weights[i]);
         }
       }
     }

@@ -46,6 +46,13 @@ void MetisNodeStream::read_header() {
   if (n > static_cast<std::int64_t>(std::numeric_limits<NodeId>::max())) {
     fail("node count " + std::to_string(n) + " exceeds the supported maximum");
   }
+  // fmt is up to three binary digits: node sizes (unsupported), node
+  // weights, edge weights. Anything else ("-1", "2", "19") is no format;
+  // reading it as unweighted would silently parse another graph.
+  if (fmt < 0 || fmt % 10 > 1 || fmt / 10 % 10 > 1 || fmt > 111) {
+    fail("malformed METIS fmt field " + std::to_string(fmt) +
+         " (expected up to three binary digits)");
+  }
   if (fmt / 100 != 0) {
     fail("multi-constraint METIS files are unsupported");
   }
@@ -90,18 +97,16 @@ void MetisNodeStream::parse_data_line(std::string_view line, NodeWeight& weight,
            std::to_string(header_.num_nodes) + "]");
     }
     neighbors.push_back(static_cast<NodeId>(value - 1));
-    EdgeWeight w = 1;
+    // Unit weights stay implicit: NodeBatch reads them from its run of 1s.
     if (header_.has_edge_weights) {
-      std::int64_t wt = 1;
-      if (!tokens.next(wt, bad_token)) {
+      if (!tokens.next(value, bad_token)) {
         fail("missing edge weight");
       }
-      if (wt < 1) {
-        fail("edge weight " + std::to_string(wt) + " is not positive");
+      if (value < 1) {
+        fail("edge weight " + std::to_string(value) + " is not positive");
       }
-      w = wt;
+      edge_weights.push_back(value);
     }
-    edge_weights.push_back(w);
   }
 }
 

@@ -15,7 +15,10 @@
 /// (GraphBuilder assembles it otherwise). Malformed *content* (bad header,
 /// out-of-range neighbor, missing node or edge weight, an edge weight below
 /// 1, a negative node weight, non-numeric token) raises oms::ContentError
-/// with the file position, so CLIs fail cleanly instead of aborting.
+/// with the file position, so CLIs fail cleanly instead of aborting. A bad
+/// header includes an fmt field that is not up to three binary digits: fmt
+/// selects the batch representation, since a file without the edge-weight
+/// digit appends no edge weights (NodeBatch reads them as implicit 1s).
 #pragma once
 
 #include <string>

@@ -45,6 +45,17 @@ printf 'not a header\n' > "$tmpdir/badheader.graph"
 check_clean_error "malformed header" 1 \
   "$tool" "$tmpdir/badheader.graph" --k 2 --from-disk
 
+# An fmt field that is not binary digits: a weighted path read as unweighted
+# would be another graph, so every route rejects the header line.
+printf '4 3 2\n2 1\n1 1 3 2\n2 2 4 3\n3 3\n' > "$tmpdir/badfmt.graph"
+check_clean_error "fmt 2 from disk" 1 \
+  "$tool" "$tmpdir/badfmt.graph" --k 2 --from-disk
+check_clean_error "fmt 2 in memory" 1 \
+  "$tool" "$tmpdir/badfmt.graph" --k 2
+printf '4 3 -1\n2\n1 3\n2 4\n3\n' > "$tmpdir/negfmt.graph"
+check_clean_error "fmt -1 pipelined" 1 \
+  "$tool" "$tmpdir/negfmt.graph" --k 2 --pipeline
+
 # Out-of-range neighbor id.
 printf '2 1\n2\n9\n' > "$tmpdir/range.graph"
 check_clean_error "neighbor out of range" 1 \

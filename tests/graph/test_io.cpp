@@ -190,7 +190,7 @@ TEST_F(IoTest, MetisRecordsEachEdgeFromItsLowerEndpoint) {
   const auto as_vector = [](auto span) { return std::vector(span.begin(), span.end()); };
   EXPECT_EQ(as_vector(g.raw_xadj()), (std::vector<EdgeIndex>{0, 2, 4, 5, 6}));
   EXPECT_EQ(as_vector(g.raw_adjncy()), (std::vector<NodeId>{1, 2, 0, 3, 0, 1}));
-  EXPECT_EQ(as_vector(g.raw_adjwgt()), (std::vector<EdgeWeight>{2, 1, 2, 1, 1, 1}));
+  EXPECT_EQ(testing::arc_weights(g), (std::vector<EdgeWeight>{2, 1, 2, 1, 1, 1}));
   EXPECT_EQ(as_vector(g.raw_vwgt()), (std::vector<NodeWeight>{1, 1, 1, 1}));
 
   // Counting the edge 3-4 from its higher endpoint is the header's mistake.
@@ -225,9 +225,10 @@ struct MalformedMetis {
 
 // The in-memory reader and the disk stream share one parser, so every file
 // here must fail on both routes at the same position. Header cases include
-// the multi-constraint forms (fmt hundreds digit, ncon != 1) and trailing
-// junk; data-line cases include the weight rule (edge weights >= 1, node
-// weights >= 0, a node-weighted line must carry its weight).
+// the multi-constraint forms (fmt hundreds digit, ncon != 1), an fmt that is
+// not binary digits and trailing junk; data-line cases include the weight
+// rule (edge weights >= 1, node weights >= 0, a node-weighted line must
+// carry its weight).
 constexpr MalformedMetis kMalformedMetis[] = {
     {"", 0, "missing METIS header"},
     {"abc def\n", 1, "malformed METIS header"},
@@ -238,6 +239,12 @@ constexpr MalformedMetis kMalformedMetis[] = {
     {"4 2 10 2\n", 1, "multi-constraint"},
     {"4 2 11 3\n", 1, "multi-constraint"},
     {"5 2 0 1 9\n", 1, "trailing tokens"},
+    // fmt is up to three binary digits; a weighted path under fmt 2 would
+    // otherwise parse as an unweighted graph with other edges.
+    {"4 3 2\n2 1\n1 1 3 2\n2 2 4 3\n3 3\n", 1, "fmt field 2"},
+    {"4 3 -1\n2\n1 3\n2 4\n3\n", 1, "fmt field -1"},
+    {"4 3 19\n", 1, "fmt field 19"},
+    {"4 3 1000\n", 1, "fmt field 1000"},
     {"% comment\n2 1\n2\n9\n", 4, "out of range"},
     {"2 1\n2\nfoo\n", 3, "malformed integer token"},
     {"2 1 1\n2 5\n1\n", 3, "missing edge weight"},

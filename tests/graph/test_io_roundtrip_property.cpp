@@ -103,7 +103,7 @@ void expect_identical(const CsrGraph& actual, const CsrGraph& expected) {
   const auto as_vector = [](auto span) { return std::vector(span.begin(), span.end()); };
   EXPECT_EQ(as_vector(actual.raw_xadj()), as_vector(expected.raw_xadj()));
   EXPECT_EQ(as_vector(actual.raw_adjncy()), as_vector(expected.raw_adjncy()));
-  EXPECT_EQ(as_vector(actual.raw_adjwgt()), as_vector(expected.raw_adjwgt()));
+  EXPECT_EQ(testing::arc_weights(actual), testing::arc_weights(expected));
   EXPECT_EQ(as_vector(actual.raw_vwgt()), as_vector(expected.raw_vwgt()));
   EXPECT_EQ(actual.memory_footprint_bytes(), expected.memory_footprint_bytes());
 }

@@ -302,6 +302,32 @@ TEST(MetisBufferedErrors, MultiConstraintHeaderRejected) {
   std::remove(path.c_str());
 }
 
+TEST(MetisBufferedErrors, FmtOutsideBinaryDigitsRejectedAtTheHeader) {
+  // fmt selects the batch representation (weights stored or implicit), so a
+  // value that names no format must not fall back to "unweighted": 4 3 2
+  // over a weighted path would stream as another graph.
+  const std::string path = temp_path("oms_buffered_badfmt.graph");
+  for (const char* header : {"4 3 2\n", "4 3 -1\n", "4 3 19\n", "4 3 012\n", "4 3 1000\n"}) {
+    write_text(path, std::string("% comment\n") + header + "2 1\n1 1 3 2\n2 2 4 3\n3 3\n");
+    try {
+      MetisNodeStream stream(path);
+      ADD_FAILURE() << "expected IoError for " << header;
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":2: malformed METIS fmt field"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The accepted forms, with and without leading zeros.
+  for (const char* header : {"4 3\n", "4 3 0\n", "4 3 00\n", "4 3 001\n"}) {
+    write_text(path, std::string(header) + "2\n1 3\n2 4\n3\n");
+    MetisNodeStream stream(path);
+    EXPECT_EQ(stream.header().has_edge_weights, std::string(header) == "4 3 001\n")
+        << header;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(MetisBufferedErrors, NeighborOutOfRange) {
   const std::string path = temp_path("oms_buffered_range.graph");
   write_text(path, "2 1\n2\n3\n"); // node 2 references neighbor 3 > n

@@ -65,6 +65,19 @@ namespace oms::testing {
   return h;
 }
 
+/// Every arc's edge weight in CSR order, row by row through
+/// incident_weights (the only way a graph exposes them): equal for two graphs
+/// iff their rows carry equal weights, whatever the storage.
+[[nodiscard]] inline std::vector<EdgeWeight> arc_weights(const CsrGraph& graph) {
+  std::vector<EdgeWeight> weights;
+  weights.reserve(static_cast<std::size_t>(graph.num_arcs()));
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    const auto row = graph.incident_weights(u);
+    weights.insert(weights.end(), row.begin(), row.end());
+  }
+  return weights;
+}
+
 /// Drain \p stream through fill_batch, the parse every route runs, calling
 /// \p visit on each node in stream order. A node's spans stay valid only
 /// until the next batch is parsed.
