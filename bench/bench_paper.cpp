@@ -769,7 +769,7 @@ void twophase_mapping(Context& ctx) {
     apply_greedy_mapping(graph, assignment, topo);
     greedy.push_back(measured(0, 0, mapping_cost(graph, topo, assignment)));
     // Phase 2c: greedy + swap refinement.
-    swap_refine_mapping(graph, topo, assignment, BlockSwapConfig{});
+    swap_refine_mapping(graph, topo, assignment, /*seed=*/1);
     swapped.push_back(measured(fennel_time + phase2.elapsed_s(), 0,
                                mapping_cost(graph, topo, assignment)));
   }

@@ -1,21 +1,18 @@
 #include "oms/api/partition_artifact.hpp"
 
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
-#include <limits>
+#include <span>
 
 #include "oms/stream/checkpoint.hpp"
 #include "oms/util/assert.hpp"
-#include "oms/util/crc32.hpp"
 #include "oms/util/io_error.hpp"
+#include "oms/util/sealed_file.hpp"
 
 namespace oms {
 namespace {
 
-// "OMSPART1": partition artifact snapshot, version 1. Layout mirrors the v2
-// binary graph cache: magic, u64 payload length, payload, CRC-32 over every
-// preceding byte, and the file must be exactly that long.
+// "OMSPART1": partition artifact snapshot, version 1 — a sealed file
+// (util/sealed_file.hpp) with an empty head.
 constexpr std::uint64_t kArtifactMagic = 0x4f4d5350'41525431ULL;
 
 // The artifact payload rides the bounds-checked CheckpointWriter/Reader pair
@@ -126,74 +123,13 @@ void PartitionArtifact::rebuild_tree() {
 void write_artifact(const PartitionArtifact& artifact, const std::string& path) {
   CheckpointWriter payload;
   put_artifact(payload, artifact);
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out.good()) {
-    throw IoError("cannot open artifact file '" + path + "' for writing");
-  }
-  std::uint32_t crc = crc32_init();
-  const auto write_raw = [&out, &crc](const void* data, std::size_t bytes) {
-    crc = crc32_update(crc, data, bytes);
-    out.write(static_cast<const char*>(data), static_cast<std::streamsize>(bytes));
-  };
-  const std::uint64_t magic = kArtifactMagic;
-  const std::uint64_t payload_len = payload.bytes().size();
-  write_raw(&magic, sizeof magic);
-  write_raw(&payload_len, sizeof payload_len);
-  write_raw(payload.bytes().data(), payload.bytes().size());
-  const std::uint32_t checksum = crc32_final(crc);
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof checksum);
-  out.flush();
-  if (!out.good()) {
-    throw IoError("write failure on artifact file '" + path + "'");
-  }
+  write_sealed_file(path, kArtifactMagic, {}, payload.bytes(), "artifact");
 }
 
 PartitionArtifact read_artifact(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw IoError("cannot open artifact file '" + path + "'");
-  }
-  std::uint32_t crc = crc32_init();
-  const auto read_raw = [&in, &path, &crc](void* data, std::size_t bytes) {
-    in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-    if (!in.good()) {
-      throw IoError(path + ": truncated artifact file");
-    }
-    crc = crc32_update(crc, data, bytes);
-  };
-  std::uint64_t magic = 0;
-  std::uint64_t payload_len = 0;
-  read_raw(&magic, sizeof magic);
-  if (magic != kArtifactMagic) {
-    throw IoError(path + ": bad magic in artifact file");
-  }
-  read_raw(&payload_len, sizeof payload_len);
-  if (payload_len >= (std::uint64_t{1} << 40)) {
-    throw IoError(path + ": implausible payload size in artifact header");
-  }
-  const auto payload_start = in.tellg();
-  in.seekg(0, std::ios::end);
-  const auto file_end = in.tellg();
-  in.seekg(payload_start);
-  const auto actual = static_cast<std::uint64_t>(file_end - payload_start);
-  if (actual < payload_len + sizeof(std::uint32_t)) {
-    throw IoError(path + ": truncated artifact file");
-  }
-  if (actual > payload_len + sizeof(std::uint32_t)) {
-    throw IoError(path + ": artifact file longer than its header describes");
-  }
-  std::vector<char> payload(static_cast<std::size_t>(payload_len));
-  if (!payload.empty()) {
-    read_raw(payload.data(), payload.size());
-  }
-  const std::uint32_t computed = crc32_final(crc);
-  std::uint32_t stored = 0;
-  in.read(reinterpret_cast<char*>(&stored), sizeof stored);
-  if (!in.good() || stored != computed) {
-    throw IoError(path + ": CRC mismatch in artifact file (corrupt bytes)");
-  }
-  CheckpointReader reader(payload);
+  const SealedFile file = read_sealed_file(path, kArtifactMagic, "artifact");
+  const std::span<const char> payload = file.payload(0);
+  CheckpointReader reader(payload.data(), payload.size());
   PartitionArtifact artifact = get_artifact(reader, path);
   artifact.rebuild_tree();
   return artifact;

@@ -8,9 +8,9 @@
 /// performance libraries: Partitioner::partition() ingests the graph once
 /// and returns this artifact; lookups (where / rank_of) are then O(1) /
 /// O(tree height) with no further access to the input. Artifacts snapshot
-/// to disk in a checksummed binary format (same CRC-32 + strict-length
-/// discipline as the v2 graph cache in graph/io), so a daemon restart — or
-/// a fleet of replicas — can restore served state without re-partitioning.
+/// to disk as a sealed file (util/sealed_file.hpp, the container checkpoints
+/// use too), so a daemon restart — or a fleet of replicas — can restore
+/// served state without re-partitioning.
 #pragma once
 
 #include <cstdint>
@@ -95,11 +95,12 @@ private:
   std::optional<MultisectionTree> tree_;
 };
 
-/// Snapshot/restore: little-endian binary ("OMSPART1"), u64 payload length,
-/// CRC-32 trailer over every preceding byte, strict length check — the same
-/// corruption discipline as the v2 binary graph cache. read_artifact throws
-/// oms::IoError on unopenable paths, bad magic, truncation, trailing bytes
-/// and CRC mismatch, and rebuilds the address tree.
+/// Snapshot/restore: a sealed file (util/sealed_file.hpp) with magic
+/// "OMSPART1", no head and the artifact fields as payload. write_artifact
+/// replaces \p path atomically: a write that fails or dies midway leaves the
+/// previous artifact there intact. read_artifact throws oms::IoError on
+/// unopenable paths, bad magic, truncation, trailing bytes, CRC mismatch and
+/// out-of-range fields, and rebuilds the address tree.
 void write_artifact(const PartitionArtifact& artifact, const std::string& path);
 [[nodiscard]] PartitionArtifact read_artifact(const std::string& path);
 

@@ -48,15 +48,7 @@ BufferedPartitioner::BufferedPartitioner(NodeId num_nodes,
     }
   }
   if (config.engine == BufferedEngine::kMultilevel) {
-    BufferMultilevelConfig ml;
-    ml.coarse_floor = config.ml_coarse_floor;
-    ml.coarsening_factor = config.ml_coarsening_factor;
-    ml.max_levels = config.ml_max_levels;
-    ml.clustering_iterations = config.ml_clustering_iterations;
-    ml.initial_attempts = config.ml_initial_attempts;
-    ml.refinement_iterations = config.ml_refinement_iterations;
-    ml.seed = config.seed;
-    ml_ = std::make_unique<BufferMultilevel>(k, ml);
+    ml_ = std::make_unique<BufferMultilevel>(k, config.seed);
   }
 }
 

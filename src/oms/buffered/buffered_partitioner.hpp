@@ -70,14 +70,6 @@ struct BufferedConfig {
   /// label-propagation sweeps, but the queue usually drains far earlier).
   int refinement_iterations = 3;
   BufferedEngine engine = BufferedEngine::kLp;
-  /// Multilevel-engine knobs (engine == kMultilevel); see
-  /// BufferMultilevelConfig for semantics.
-  NodeId ml_coarse_floor = 128;
-  int ml_coarsening_factor = 2;
-  int ml_max_levels = 20;
-  int ml_clustering_iterations = 1;
-  int ml_initial_attempts = 3;
-  int ml_refinement_iterations = 2;
   /// Optional process-mapping topology. When set (num_pes() must equal k),
   /// placement and refinement score block gains against the hierarchy's
   /// layer distances — buffered streaming then optimizes the paper's mapping

@@ -38,6 +38,10 @@ BlockGraph BlockGraph::build(const CsrGraph& graph,
 
 namespace {
 
+/// Upper bound on the swap rounds; most runs stop earlier, after a round
+/// without an accepted swap.
+constexpr int kMaxRounds = 10;
+
 /// Cost change of block x's incident communication if x moved from PE
 /// perm[x] to PE new_pe (partner y excluded: its term is swap-invariant
 /// because D is symmetric).
@@ -61,8 +65,7 @@ namespace {
 } // namespace
 
 std::size_t swap_refine_mapping(const CsrGraph& graph, const SystemHierarchy& topology,
-                                std::vector<BlockId>& mapping,
-                                const BlockSwapConfig& config) {
+                                std::vector<BlockId>& mapping, std::uint64_t seed) {
   const BlockId k = topology.num_pes();
   const BlockGraph bg = BlockGraph::build(graph, mapping, k);
 
@@ -73,9 +76,9 @@ std::size_t swap_refine_mapping(const CsrGraph& graph, const SystemHierarchy& to
     perm[static_cast<std::size_t>(b)] = b;
   }
 
-  Rng rng(config.seed);
+  Rng rng(seed);
   std::size_t accepted = 0;
-  for (int round = 0; round < config.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     std::size_t round_accepted = 0;
 
     const auto try_swap = [&](BlockId x, BlockId y) {

@@ -14,11 +14,6 @@
 
 namespace oms {
 
-struct BlockSwapConfig {
-  int max_rounds = 10;
-  std::uint64_t seed = 1;
-};
-
 /// Aggregated communication between blocks of a partition: entry (b, c, w)
 /// means blocks b and c exchange total volume w (each unordered pair once).
 struct BlockGraph {
@@ -31,11 +26,11 @@ struct BlockGraph {
 };
 
 /// Hill-climb the PE permutation of the blocks: try swapping the PEs of block
-/// pairs that communicate, accept strict improvements of J, stop after a full
-/// round without improvement (or max_rounds). The node mapping is updated in
-/// place. Returns the number of accepted swaps.
+/// pairs that communicate (plus random pairs drawn from \p seed), accept
+/// strict improvements of J, stop after a full round without improvement (or
+/// 10 rounds). The node mapping is updated in place. Returns the number of
+/// accepted swaps.
 std::size_t swap_refine_mapping(const CsrGraph& graph, const SystemHierarchy& topology,
-                                std::vector<BlockId>& mapping,
-                                const BlockSwapConfig& config);
+                                std::vector<BlockId>& mapping, std::uint64_t seed);
 
 } // namespace oms

@@ -8,9 +8,23 @@
 
 namespace oms {
 
-BufferMultilevel::BufferMultilevel(BlockId k, const BufferMultilevelConfig& config)
+/// Stop coarsening once a level has at most max(kCoarseFloor,
+/// kCoarseningFactor * k) nodes, or after kMaxLevels levels.
+constexpr NodeId kCoarseFloor = 128;
+constexpr std::int64_t kCoarseningFactor = 2;
+constexpr int kMaxLevels = 20;
+/// Clustering sweeps per coarsening level.
+constexpr int kClusteringIterations = 1;
+/// Independent BFS-band seeds tried at the coarsest level of the *first*
+/// buffer (the projected incoming greedy partition is always an additional
+/// candidate, and the only one on later buffers).
+constexpr int kInitialAttempts = 3;
+/// Per-node visit budget of the active-set refinement on each level.
+constexpr std::uint8_t kRefinementVisits = 2;
+
+BufferMultilevel::BufferMultilevel(BlockId k, std::uint64_t seed)
     : k_(k),
-      config_(config),
+      seed_(seed),
       base_(static_cast<std::size_t>(k), 0),
       cur_weight_(static_cast<std::size_t>(k), 0),
       gather_nodes_(0),
@@ -143,9 +157,6 @@ void BufferMultilevel::refine_level(const GraphView& graph,
                                     NodeWeight bound, const std::int64_t* dist,
                                     Rng& rng) {
   const std::uint32_t n = graph.n;
-  if (config_.refinement_iterations <= 0) {
-    return;
-  }
   gather_blocks_.ensure_universe(static_cast<std::size_t>(k_));
 
   // Active-set sweep (the lp engine's trick, ported to the V-cycle): only
@@ -181,8 +192,7 @@ void BufferMultilevel::refine_level(const GraphView& graph,
 
   queue_.resize(n);
   in_queue_.assign(n, 0);
-  visits_left_.assign(
-      n, static_cast<std::uint8_t>(std::min(config_.refinement_iterations, 255)));
+  visits_left_.assign(n, kRefinementVisits);
   std::size_t head = 0;
   std::size_t count = order_.size();
   std::size_t tail = count % n;
@@ -435,7 +445,7 @@ void BufferMultilevel::improve(const BufferModelView& model,
     }
   }
 
-  const std::uint64_t run_seed = hash_combine(config_.seed, salt);
+  const std::uint64_t run_seed = hash_combine(seed_, salt);
   Rng rng(run_seed);
 
   incoming_.assign(partition.begin(), partition.end());
@@ -443,9 +453,9 @@ void BufferMultilevel::improve(const BufferModelView& model,
 
   // --- Coarsening ---------------------------------------------------------
   const NodeId target = std::max<NodeId>(
-      config_.coarse_floor,
+      kCoarseFloor,
       static_cast<NodeId>(std::min<std::int64_t>(
-          static_cast<std::int64_t>(config_.coarsening_factor) * k_,
+          kCoarseningFactor * k_,
           static_cast<std::int64_t>(n))));
   // Cap derived from the coarsening target (cf. multilevel_partitioner.cpp):
   // clustering then cannot overshoot the target for unit node weights.
@@ -455,9 +465,9 @@ void BufferMultilevel::improve(const BufferModelView& model,
   int num_levels = 0;
   GraphView cur = finest;
   AffinityView cur_aff = finest_aff;
-  while (num_levels < config_.max_levels && cur.n > target) {
+  while (num_levels < kMaxLevels && cur.n > target) {
     const std::vector<NodeId> cluster = lp_cluster_impl(
-        cur, max_cluster_weight, config_.clustering_iterations,
+        cur, max_cluster_weight, kClusteringIterations,
         hash_combine(run_seed, static_cast<std::uint64_t>(num_levels) + 1));
     const NodeId num_clusters =
         *std::max_element(cluster.begin(), cluster.end()) + 1;
@@ -502,7 +512,7 @@ void BufferMultilevel::improve(const BufferModelView& model,
   // buffers a from-scratch repartition can win the *local* model objective
   // by a hair while scrambling the global block geometry the stream has been
   // building — every future buffer then pays for the incoherence.
-  const int attempts = salt == 0 ? config_.initial_attempts : 0;
+  const int attempts = salt == 0 ? kInitialAttempts : 0;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     cand_part_ = bfs_band_impl(
         cur, k_, coarse_bound, base_,

@@ -42,28 +42,11 @@ struct BufferModelView {
   const EdgeWeight* super_weight = nullptr;
 };
 
-struct BufferMultilevelConfig {
-  /// Stop coarsening once a level has at most max(coarse_floor,
-  /// coarsening_factor * k) nodes.
-  NodeId coarse_floor = 128;
-  int coarsening_factor = 2;
-  int max_levels = 20;
-  /// Clustering sweeps per coarsening level.
-  int clustering_iterations = 1;
-  /// Independent BFS-band seeds tried at the coarsest level of the *first*
-  /// buffer (the projected incoming greedy partition is always an additional
-  /// candidate, and the only one on later buffers).
-  int initial_attempts = 3;
-  /// Per-node visit budget of the active-set refinement on each level.
-  int refinement_iterations = 2;
-  std::uint64_t seed = 1;
-};
-
 /// Multilevel improvement engine over buffer-local models. One instance per
 /// BufferedPartitioner; improve() is called once per buffer.
 class BufferMultilevel {
 public:
-  BufferMultilevel(BlockId k, const BufferMultilevelConfig& config);
+  BufferMultilevel(BlockId k, std::uint64_t seed);
 
   /// Improve \p partition (the greedy placement of this buffer, one entry per
   /// model node, all in [0, k)) in place and update \p block_weight (global
@@ -154,7 +137,7 @@ private:
 
   /// Active-set LP refinement over one level: seeded with the (shuffled)
   /// boundary nodes, a node re-enters when an in-level neighbor moves, and no
-  /// node is visited more than refinement_iterations times. Moves respect
+  /// node is visited more than kRefinementVisits times. Moves respect
   /// cur_weight_ <= bound. Cut mode (dist == null) maximizes connection with
   /// the zero-gain lighter-block tiebreak; J mode scores all k blocks by
   /// sum(conn[b'] * (dist_max - dist[b][b'])).
@@ -177,7 +160,7 @@ private:
       const std::int64_t* dist) const;
 
   BlockId k_;
-  BufferMultilevelConfig config_;
+  std::uint64_t seed_;
   std::int64_t dist_max_ = 0; // max entry of dist, valid while dist != null
 
   // Adaptive backoff over the stream: consecutive buffers whose V-cycle

@@ -9,16 +9,17 @@
 
 namespace oms {
 
+constexpr int kLpIterations = 5;
+
 std::vector<NodeId> lp_clustering(const CsrGraph& graph,
                                   NodeWeight max_cluster_weight,
-                                  const LabelPropagationConfig& config) {
-  return lp_cluster_impl(graph, max_cluster_weight, config.max_iterations,
-                         config.seed);
+                                  std::uint64_t seed) {
+  return lp_cluster_impl(graph, max_cluster_weight, kLpIterations, seed);
 }
 
 std::size_t lp_refinement(const CsrGraph& graph, std::vector<BlockId>& partition,
                           BlockId k, NodeWeight max_block_weight,
-                          const LabelPropagationConfig& config) {
+                          std::uint64_t seed) {
   const NodeId n = graph.num_nodes();
   OMS_ASSERT(partition.size() == n);
   std::vector<NodeWeight> block_weight(static_cast<std::size_t>(k), 0);
@@ -28,11 +29,11 @@ std::size_t lp_refinement(const CsrGraph& graph, std::vector<BlockId>& partition
 
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), NodeId{0});
-  Rng rng(config.seed);
+  Rng rng(seed);
   ConnectionGather gather(static_cast<std::size_t>(k));
   std::size_t total_moved = 0;
 
-  for (int iteration = 0; iteration < config.max_iterations; ++iteration) {
+  for (int iteration = 0; iteration < kLpIterations; ++iteration) {
     rng.shuffle(order);
     std::size_t moved = 0;
     for (const NodeId u : order) {

@@ -14,10 +14,8 @@
 
 namespace oms {
 
-struct LabelPropagationConfig {
-  int max_iterations = 5;
-  std::uint64_t seed = 1;
-};
+/// Both label propagations stop after 5 sweeps, or once a sweep moves
+/// nothing; \p seed drives their shuffled visit orders.
 
 /// Clustering for coarsening: every node starts as its own cluster; nodes
 /// greedily join the neighboring cluster with the heaviest connection,
@@ -25,15 +23,14 @@ struct LabelPropagationConfig {
 /// Returns cluster ids renumbered densely to [0, num_clusters).
 [[nodiscard]] std::vector<NodeId> lp_clustering(const CsrGraph& graph,
                                                 NodeWeight max_cluster_weight,
-                                                const LabelPropagationConfig& config);
+                                                std::uint64_t seed);
 
 /// k-way refinement: move nodes to the adjacent block with the highest
 /// positive gain (connection-weight delta), subject to the balance
 /// constraint max_block_weight. Modifies \p partition in place and returns
 /// the number of nodes moved.
 std::size_t lp_refinement(const CsrGraph& graph, std::vector<BlockId>& partition,
-                          BlockId k, NodeWeight max_block_weight,
-                          const LabelPropagationConfig& config);
+                          BlockId k, NodeWeight max_block_weight, std::uint64_t seed);
 
 /// Greedy balancer: while some block exceeds \p max_block_weight, move the
 /// node with the smallest cut-increase out of the heaviest block into the

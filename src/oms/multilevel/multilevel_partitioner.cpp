@@ -11,6 +11,14 @@
 
 namespace oms {
 
+/// Coarsening stops at max(kCoarseFloor, kCoarseningFactor * k) nodes, or
+/// after kMaxLevels levels.
+constexpr NodeId kCoarseFloor = 256;
+constexpr std::int64_t kCoarseningFactor = 2;
+constexpr int kMaxLevels = 40;
+/// Initial partitions tried on the coarsest graph (best cut wins).
+constexpr int kInitialAttempts = 3;
+
 std::vector<BlockId> bfs_band_partition(const CsrGraph& graph, BlockId k,
                                         NodeWeight max_block_weight,
                                         std::uint64_t seed) {
@@ -45,30 +53,27 @@ MultilevelResult multilevel_partition(const CsrGraph& graph, BlockId k,
   std::uint64_t live_bytes = graph.memory_footprint_bytes();
   std::uint64_t peak_bytes = live_bytes;
   const NodeId target = std::max<NodeId>(
-      config.coarse_floor,
+      kCoarseFloor,
       static_cast<NodeId>(std::min<std::int64_t>(
-          static_cast<std::int64_t>(config.coarsening_factor) * k,
+          kCoarseningFactor * k,
           static_cast<std::int64_t>(graph.num_nodes()))));
 
-  LabelPropagationConfig lp;
-  lp.seed = config.seed;
   // Cluster weight cap derived from the coarsening target: with cap W/target,
   // clustering yields at least ~target clusters (unit weights), so it cannot
   // overshoot the coarsest size the initial partitioner is tuned for — the
   // overshoot guard below is then a genuine safety stop for weighted graphs,
   // not the every-time exit the old W/(4k) cap made it. The cap also keeps
   // coarse nodes small enough that a balanced k-way partition stays feasible
-  // (target >= coarsening_factor * k).
+  // (target >= kCoarseningFactor * k).
   const NodeWeight max_cluster_weight = std::max<NodeWeight>(
       1, graph.total_node_weight() / std::max<NodeId>(1, target));
 
-  for (int level = 0; level < config.max_levels; ++level) {
+  for (int level = 0; level < kMaxLevels; ++level) {
     if (current->num_nodes() <= target) {
       break;
     }
-    lp.seed = config.seed + static_cast<std::uint64_t>(level) + 1;
-    const std::vector<NodeId> cluster =
-        lp_clustering(*current, max_cluster_weight, lp);
+    const std::vector<NodeId> cluster = lp_clustering(
+        *current, max_cluster_weight, config.seed + static_cast<std::uint64_t>(level) + 1);
     const NodeId num_clusters = *std::max_element(cluster.begin(), cluster.end()) + 1;
     if (num_clusters >= current->num_nodes() ||
         num_clusters < target / 2 + 1) {
@@ -102,25 +107,22 @@ MultilevelResult multilevel_partition(const CsrGraph& graph, BlockId k,
   // partitioning is cheap and buys noticeable quality (standard multilevel
   // practice).
   const NodeWeight coarsest_bound = bound_for(*current);
-  LabelPropagationConfig refine;
-  refine.max_iterations = config.refinement_iterations;
 
   std::vector<BlockId> partition;
   Cost best_cut = 0;
-  for (int attempt = 0; attempt < config.initial_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kInitialAttempts; ++attempt) {
     const std::uint64_t seed = config.seed + static_cast<std::uint64_t>(attempt) * 101;
     std::vector<BlockId> candidate =
         bfs_band_partition(*current, k, coarsest_bound, seed);
     rebalance(*current, candidate, k, coarsest_bound);
-    refine.seed = seed ^ 0x9e3779b9ULL;
-    lp_refinement(*current, candidate, k, coarsest_bound, refine);
+    lp_refinement(*current, candidate, k, coarsest_bound, seed ^ 0x9e3779b9ULL);
     const Cost cut = edge_cut(*current, candidate);
     if (attempt == 0 || cut < best_cut) {
       best_cut = cut;
       partition = std::move(candidate);
     }
   }
-  refine.seed = config.seed ^ 0x9e3779b9ULL;
+  std::uint64_t refine_seed = config.seed ^ 0x9e3779b9ULL;
 
   // --- Uncoarsening -------------------------------------------------------
   for (std::size_t level = hierarchy.size(); level-- > 0;) {
@@ -128,8 +130,7 @@ MultilevelResult multilevel_partition(const CsrGraph& graph, BlockId k,
     const CsrGraph& fine =
         (level == 0) ? graph : hierarchy[level - 1].coarse;
     const NodeWeight bound = bound_for(fine);
-    refine.seed += 1;
-    lp_refinement(fine, partition, k, bound, refine);
+    lp_refinement(fine, partition, k, bound, ++refine_seed);
     rebalance(fine, partition, k, bound);
   }
   if (hierarchy.empty()) {

@@ -20,13 +20,6 @@ namespace oms {
 struct MultilevelConfig {
   double epsilon = 0.03;
   std::uint64_t seed = 1;
-  /// Coarsening stops at max(coarse_floor, coarsening_factor * k) nodes.
-  NodeId coarse_floor = 256;
-  int coarsening_factor = 2;
-  int refinement_iterations = 5;
-  int max_levels = 40;
-  /// Initial partitions tried on the coarsest graph (best cut wins).
-  int initial_attempts = 3;
 };
 
 struct MultilevelResult {

@@ -85,10 +85,7 @@ IntMapResult offline_recursive_multisection(const CsrGraph& graph,
   rebalance(graph, result.mapping, k, lmax);
 
   if (config.swap_refinement) {
-    BlockSwapConfig swap;
-    swap.max_rounds = config.swap_rounds;
-    swap.seed = config.seed;
-    swap_refine_mapping(graph, topology, result.mapping, swap);
+    swap_refine_mapping(graph, topology, result.mapping, config.seed);
   }
 
   // Peak memory: the full graph plus the largest induced subgraph chain is

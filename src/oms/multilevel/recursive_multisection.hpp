@@ -19,7 +19,6 @@ namespace oms {
 struct IntMapConfig {
   MultilevelConfig multilevel;
   bool swap_refinement = true;
-  int swap_rounds = 10;
   std::uint64_t seed = 1;
 };
 

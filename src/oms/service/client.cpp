@@ -18,6 +18,9 @@
 namespace oms::service {
 namespace {
 
+/// Seed of the backoff jitter rng ("client").
+constexpr std::uint64_t kJitterSeed = 0x636c69656e74ULL;
+
 /// Internal retry trigger: any transport-level failure of one attempt. Never
 /// escapes request() — the last one is converted into the final IoError.
 struct TransportError {
@@ -52,7 +55,7 @@ struct TransportError {
 ServiceClient::ServiceClient(std::string socket_path, ClientConfig config)
     : socket_path_(std::move(socket_path)),
       config_(config),
-      jitter_(config.jitter_seed) {}
+      jitter_(kJitterSeed) {}
 
 ServiceClient::~ServiceClient() { disconnect(); }
 
@@ -109,8 +112,8 @@ void ServiceClient::ensure_connected() {
 }
 
 void ServiceClient::backoff(int attempt) noexcept {
-  // Exponential with full-range jitter over the upper half: deterministic
-  // for a given jitter_seed, spread out across clients with different ones.
+  // Exponential with full-range jitter over the upper half, drawn from a
+  // fixed-seed rng: every client backs off on the same deterministic schedule.
   std::int64_t delay = config_.backoff_base_ms;
   for (int i = 1; i < attempt && delay < config_.backoff_cap_ms; ++i) {
     delay *= 2;

@@ -42,7 +42,6 @@ struct ClientConfig {
   int max_attempts = 4;          ///< total tries per request (1 = no retry)
   int backoff_base_ms = 10;      ///< first retry delay; doubles per attempt
   int backoff_cap_ms = 500;      ///< upper bound on a single backoff
-  std::uint64_t jitter_seed = 0x636c69656e74ULL; ///< deterministic jitter rng
 };
 
 /// A decoded reply: the status word plus the remaining payload bytes.

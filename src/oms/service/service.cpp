@@ -401,6 +401,9 @@ void shed_connection(int conn, Status status, const std::string& message) {
   ::close(conn);
 }
 
+/// listen(2) backlog of the Unix socket.
+constexpr int kListenBacklog = 16;
+
 } // namespace
 
 void serve_unix_socket(const PartitionService& service,
@@ -420,7 +423,7 @@ void serve_unix_socket(const PartitionService& service,
   }
   if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
              sizeof addr) != 0 ||
-      ::listen(listen_fd, options.backlog) != 0) {
+      ::listen(listen_fd, kListenBacklog) != 0) {
     const std::string reason = std::strerror(errno);
     ::close(listen_fd);
     throw IoError("cannot listen on '" + socket_path + "': " + reason);

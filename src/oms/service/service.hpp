@@ -111,7 +111,6 @@ bool serve_stream(const PartitionService& service, int in_fd, int out_fd);
 struct ServeOptions {
   int max_conns = 64;      ///< concurrent session cap (shed kOverloaded past it)
   int idle_timeout_ms = 0; ///< per-session deadline; 0 = none
-  int backlog = 16;        ///< listen(2) backlog
 };
 
 /// Bind \p socket_path (a genuinely stale socket file is replaced; a socket

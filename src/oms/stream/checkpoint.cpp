@@ -1,14 +1,13 @@
 #include "oms/stream/checkpoint.hpp"
 
-#include <cstdio>
 #include <cstring>
-#include <memory>
+#include <span>
 
 #include "oms/stream/block_weights.hpp"
 #include "oms/telemetry/metrics.hpp"
 #include "oms/util/assignment_array.hpp"
-#include "oms/util/crc32.hpp"
 #include "oms/util/io_error.hpp"
+#include "oms/util/sealed_file.hpp"
 
 namespace oms {
 
@@ -17,11 +16,6 @@ namespace {
 /// "OMSCKPT1" little-endian.
 constexpr std::uint64_t kCheckpointMagic = 0x3154504B43534D4FULL;
 constexpr std::uint32_t kCheckpointVersion = 1;
-
-struct FileCloser {
-  void operator()(std::FILE* f) const noexcept { std::fclose(f); }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 void put_meta(CheckpointWriter& w, const CheckpointMeta& meta) {
   w.put_string(meta.algo);
@@ -88,84 +82,27 @@ void CheckpointReader::expect_end() const {
 void write_checkpoint_file(const std::string& path, const CheckpointMeta& meta,
                            const std::vector<char>& payload) {
   const telemetry::TraceSpan span(telemetry::Hist::kStageCheckpointWrite);
-  CheckpointWriter w;
-  w.put_u64(kCheckpointMagic);
-  w.put_u32(kCheckpointVersion);
-  put_meta(w, meta);
-  w.put_u64(payload.size());
-  w.put_raw(payload.data(), payload.size());
-  const std::uint32_t crc = crc32(w.bytes().data(), w.bytes().size());
-
-  // tmp + rename: a crash mid-write can only lose the snapshot in progress,
-  // never corrupt the previous one.
-  const std::string tmp = path + ".tmp";
-  {
-    const FilePtr file(std::fopen(tmp.c_str(), "wb"));
-    if (file == nullptr) {
-      throw IoError("cannot open checkpoint file '" + tmp + "' for writing");
-    }
-    if (std::fwrite(w.bytes().data(), 1, w.bytes().size(), file.get()) !=
-            w.bytes().size() ||
-        std::fwrite(&crc, 1, sizeof crc, file.get()) != sizeof crc ||
-        std::fflush(file.get()) != 0) {
-      throw IoError("write error on checkpoint file '" + tmp + "'");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw IoError("cannot move checkpoint into place at '" + path + "'");
-  }
+  CheckpointWriter head;
+  head.put_u32(kCheckpointVersion);
+  put_meta(head, meta);
+  const std::uint64_t bytes =
+      write_sealed_file(path, kCheckpointMagic, head.bytes(), payload, "checkpoint");
   telemetry::metric_add(telemetry::Counter::kCheckpointSnapshots);
-  telemetry::metric_add(telemetry::Counter::kCheckpointBytes,
-                        w.bytes().size() + sizeof crc);
+  telemetry::metric_add(telemetry::Counter::kCheckpointBytes, bytes);
 }
 
 CheckpointState read_checkpoint_file(const std::string& path) {
-  const FilePtr file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) {
-    throw IoError("cannot open checkpoint file '" + path + "'");
-  }
-  std::vector<char> bytes;
-  char chunk[1 << 16];
-  while (true) {
-    const std::size_t got = std::fread(chunk, 1, sizeof chunk, file.get());
-    bytes.insert(bytes.end(), chunk, chunk + got);
-    if (got < sizeof chunk) {
-      if (std::ferror(file.get()) != 0) {
-        throw IoError("read error on checkpoint file '" + path + "'");
-      }
-      break;
-    }
-  }
-
-  if (bytes.size() < sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t)) {
-    throw IoError("checkpoint '" + path + "': file too short to be a checkpoint");
-  }
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof stored_crc,
-              sizeof stored_crc);
-  const std::size_t body = bytes.size() - sizeof stored_crc;
-
-  CheckpointReader r(bytes.data(), body);
-  if (r.get_u64() != kCheckpointMagic) {
-    throw IoError("checkpoint '" + path + "': bad magic (not a checkpoint file)");
-  }
+  const SealedFile file = read_sealed_file(path, kCheckpointMagic, "checkpoint");
+  CheckpointReader r(file.body().data(), file.body().size());
   if (const std::uint32_t version = r.get_u32(); version != kCheckpointVersion) {
     throw IoError("checkpoint '" + path + "': unsupported version " +
                   std::to_string(version) + " (expected " +
                   std::to_string(kCheckpointVersion) + ")");
   }
-  if (crc32(bytes.data(), body) != stored_crc) {
-    throw IoError("checkpoint '" + path + "': CRC mismatch (truncated or corrupt)");
-  }
-
   CheckpointState state;
   state.meta = get_meta(r);
-  const std::uint64_t payload_len = r.get_u64();
-  if (payload_len != r.remaining()) {
-    throw IoError("checkpoint '" + path + "': payload length mismatch");
-  }
-  state.payload.resize(payload_len);
-  r.get_raw(state.payload.data(), payload_len);
+  const std::span<const char> payload = file.payload(file.body().size() - r.remaining());
+  state.payload.assign(payload.begin(), payload.end());
   return state;
 }
 

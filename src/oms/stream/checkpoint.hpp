@@ -10,20 +10,19 @@
 /// a killed-and-resumed run is bit-identical to an uninterrupted one — the
 /// chaos suite pins that with golden hashes.
 ///
-/// File format (little-endian, all integers fixed-width):
+/// A checkpoint is a sealed file (util/sealed_file.hpp: u64 magic, head,
+/// u64 payload length + payload, CRC-32 trailer) with magic "OMSCKPT1" and
+/// this head (little-endian, all integers fixed-width):
 ///
-///     u64  magic   "OMSCKPT1"
 ///     u32  version (currently 1)
 ///     meta: u32 len + algo id bytes, then u64 k, seed, num_nodes,
 ///           nodes_streamed, input_offset, input_line_no
-///     u64  payload length + payload bytes (partitioner-specific)
-///     u32  CRC-32 (IEEE) over every preceding byte
 ///
-/// Files are written to `<path>.tmp` and renamed into place, so a crash
-/// *during* a checkpoint write leaves the previous snapshot intact. Readers
-/// validate magic, version and CRC before touching any field and raise
-/// oms::IoError on any mismatch — a corrupt or truncated checkpoint can
-/// never silently resume wrong state.
+/// and the partitioner-specific state as payload. The container writes to
+/// `<path>.tmp` and renames it into place, so a crash *during* a checkpoint
+/// write leaves the previous snapshot intact, and checks magic, length and
+/// CRC before the version or any field is read: a corrupt or truncated
+/// checkpoint raises oms::IoError and can never silently resume wrong state.
 #pragma once
 
 #include <cstdint>

@@ -87,9 +87,6 @@ struct PipelineConfig {
   /// but not yet consumed (backpressure). 0 = no reader thread (sequential).
   std::size_t ring_batches = 4;
 
-  /// Raw read chunk for the caller to construct the source with.
-  std::size_t reader_buffer_bytes = MetisNodeStream::kDefaultBufferBytes;
-
   /// Watchdog on every pipeline queue wait, in milliseconds; 0 disables. A
   /// timeout means a peer thread died without closing its queue and surfaces
   /// as oms::IoError instead of a hang.

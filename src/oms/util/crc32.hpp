@@ -1,12 +1,12 @@
 /// \file crc32.hpp
 /// \brief CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for the binary
-///        snapshot formats: graph caches (graph/io) and streaming checkpoints
-///        (stream/checkpoint) append a checksum so truncation and bit flips
-///        surface as a clean oms::IoError instead of silently read garbage.
+///        snapshot formats: every sealed file (util/sealed_file) ends with
+///        one, so truncation and bit flips surface as a clean oms::IoError
+///        instead of silently read garbage.
 ///
 /// Table-driven, one byte per step — these files are written once per
-/// checkpoint interval and read once per resume, so simplicity beats a
-/// slice-by-8 implementation here. The table is built at compile time.
+/// snapshot and read once per restore, so simplicity beats a slice-by-8
+/// implementation here. The table is built at compile time.
 #pragma once
 
 #include <array>
@@ -48,11 +48,6 @@ inline constexpr std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table()
 
 [[nodiscard]] constexpr std::uint32_t crc32_final(std::uint32_t crc) noexcept {
   return crc ^ 0xFFFFFFFFU;
-}
-
-/// One-shot convenience over a single contiguous buffer.
-[[nodiscard]] inline std::uint32_t crc32(const void* data, std::size_t bytes) noexcept {
-  return crc32_final(crc32_update(crc32_init(), data, bytes));
 }
 
 } // namespace oms

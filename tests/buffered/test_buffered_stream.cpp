@@ -37,7 +37,7 @@ PipelineConfig sequential_policy() {
 BufferedResult stream_buffered(const std::string& path, BlockId k,
                                const BufferedConfig& config,
                                const PipelineConfig& policy) {
-  MetisNodeStream source(path, policy.reader_buffer_bytes);
+  MetisNodeStream source(path);
   BufferedPartitioner core(source.header().num_nodes,
                            static_cast<NodeWeight>(source.header().num_nodes), k,
                            config);

@@ -35,7 +35,7 @@ PipelineConfig sequential_policy() {
 EdgePartitionResult stream_edges(const std::string& path,
                                  StreamingEdgePartitioner& partitioner,
                                  const PipelineConfig& policy) {
-  EdgeListStream source(path, policy.reader_buffer_bytes);
+  EdgeListStream source(path);
   return run_stream(source, partitioner, policy);
 }
 

@@ -12,8 +12,7 @@ namespace {
 
 TEST(Contract, PreservesTotalNodeWeight) {
   const CsrGraph g = gen::grid_2d(20, 20);
-  LabelPropagationConfig config;
-  const auto cluster = lp_clustering(g, 8, config);
+  const auto cluster = lp_clustering(g, 8, /*seed=*/1);
   const Contraction c = contract(g, cluster);
   EXPECT_EQ(c.coarse.total_node_weight(), g.total_node_weight());
   EXPECT_LT(c.coarse.num_nodes(), g.num_nodes());
@@ -43,8 +42,7 @@ TEST(Contract, CoarseEdgeWeightsEqualCrossClusterFineWeights) {
 TEST(Contract, CutIsPreservedUnderProjection) {
   // The edge-cut of a coarse partition equals the cut of its projection.
   const CsrGraph g = gen::random_geometric(1500, 12);
-  LabelPropagationConfig config;
-  const auto cluster = lp_clustering(g, 6, config);
+  const auto cluster = lp_clustering(g, 6, /*seed=*/1);
   const Contraction c = contract(g, cluster);
 
   std::vector<BlockId> coarse_partition(c.coarse.num_nodes());

@@ -14,8 +14,7 @@ namespace {
 
 TEST(LpClustering, MergesCliques) {
   const CsrGraph g = testing::clique_chain(4, 6);
-  LabelPropagationConfig config;
-  const auto cluster = lp_clustering(g, /*max_cluster_weight=*/6, config);
+  const auto cluster = lp_clustering(g, /*max_cluster_weight=*/6, /*seed=*/1);
   // Each clique collapses to one cluster (weight cap 6 = clique size).
   for (NodeId c = 0; c < 4; ++c) {
     for (NodeId u = 1; u < 6; ++u) {
@@ -28,9 +27,8 @@ TEST(LpClustering, MergesCliques) {
 
 TEST(LpClustering, RespectsWeightCap) {
   const CsrGraph g = gen::grid_2d(30, 30);
-  LabelPropagationConfig config;
   const NodeWeight cap = 10;
-  const auto cluster = lp_clustering(g, cap, config);
+  const auto cluster = lp_clustering(g, cap, /*seed=*/1);
   const NodeId num_clusters = *std::max_element(cluster.begin(), cluster.end()) + 1;
   std::vector<NodeWeight> weight(num_clusters, 0);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -43,8 +41,7 @@ TEST(LpClustering, RespectsWeightCap) {
 
 TEST(LpClustering, IdsAreDense) {
   const CsrGraph g = gen::barabasi_albert(500, 3, 4);
-  LabelPropagationConfig config;
-  const auto cluster = lp_clustering(g, 20, config);
+  const auto cluster = lp_clustering(g, 20, /*seed=*/1);
   const NodeId num_clusters = *std::max_element(cluster.begin(), cluster.end()) + 1;
   std::vector<bool> used(num_clusters, false);
   for (const NodeId c : cluster) {
@@ -61,9 +58,8 @@ TEST(LpRefinement, NeverWorsensTheCut) {
     partition[u] = static_cast<BlockId>(u % 8);
   }
   const Cost before = edge_cut(g, partition);
-  LabelPropagationConfig config;
   const NodeWeight lmax = max_block_weight(g.total_node_weight(), 8, 0.03);
-  lp_refinement(g, partition, 8, lmax, config);
+  lp_refinement(g, partition, 8, lmax, /*seed=*/1);
   const Cost after = edge_cut(g, partition);
   EXPECT_LE(after, before);
   EXPECT_LT(after, before / 2); // and it should actually help a lot
@@ -76,9 +72,8 @@ TEST(LpRefinement, FixedPointOnOptimalBisection) {
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     partition[u] = u < 10 ? 0 : 1;
   }
-  LabelPropagationConfig config;
   const NodeWeight lmax = max_block_weight(g.total_node_weight(), 2, 0.03);
-  const std::size_t moved = lp_refinement(g, partition, 2, lmax, config);
+  const std::size_t moved = lp_refinement(g, partition, 2, lmax, /*seed=*/1);
   EXPECT_EQ(moved, 0u);
   EXPECT_EQ(edge_cut(g, partition), 1);
 }
@@ -94,8 +89,7 @@ TEST(LpRefinement, ZeroGainTiebreakComparesPostMoveWeights) {
   const CsrGraph g = std::move(builder).build();
   std::vector<BlockId> partition = {0, 0, 1}; // a, c | d
   const std::vector<BlockId> before = partition;
-  LabelPropagationConfig config;
-  const std::size_t moved = lp_refinement(g, partition, 2, /*max_block_weight=*/2, config);
+  const std::size_t moved = lp_refinement(g, partition, 2, /*max_block_weight=*/2, /*seed=*/1);
   EXPECT_EQ(moved, 0u);
   EXPECT_EQ(partition, before);
 
@@ -107,7 +101,7 @@ TEST(LpRefinement, ZeroGainTiebreakComparesPostMoveWeights) {
   heavier.add_edge(0, 1);  // a - b keeps a anchored afterwards
   const CsrGraph g2 = std::move(heavier).build();
   std::vector<BlockId> partition2 = {0, 0, 0, 1}; // a, b, c | d
-  lp_refinement(g2, partition2, 2, /*max_block_weight=*/3, config);
+  lp_refinement(g2, partition2, 2, /*max_block_weight=*/3, /*seed=*/1);
   EXPECT_EQ(partition2[2], 1) << "zero-gain move towards the lighter block";
   EXPECT_EQ(edge_cut(g2, partition2), 1);
 }

@@ -66,10 +66,12 @@ PipelineConfig sequential_policy() {
   return policy;
 }
 
-/// Open \p path as the policy's source and stream it through \p assigner.
+/// Open \p path as a source with \p buffer_bytes raw read chunks and stream
+/// it through \p assigner.
 StreamResult stream_file(const std::string& path, OnePassAssigner& assigner,
-                         const PipelineConfig& policy) {
-  MetisNodeStream source(path, policy.reader_buffer_bytes);
+                         const PipelineConfig& policy,
+                         std::size_t buffer_bytes = MetisNodeStream::kDefaultBufferBytes) {
+  MetisNodeStream source(path, buffer_bytes);
   return run_stream(source, assigner, policy);
 }
 
@@ -112,9 +114,8 @@ TEST(Pipeline, SingleConsumerMatchesSequentialAcrossGeometries) {
     config.batch_nodes = geo.batch_nodes;
     config.batch_arcs = geo.batch_arcs;
     config.ring_batches = geo.ring;
-    config.reader_buffer_bytes = geo.buffer;
     auto pipelined = fennel_for(g, 7);
-    const StreamResult got = stream_file(path, *pipelined, config);
+    const StreamResult got = stream_file(path, *pipelined, config, geo.buffer);
     EXPECT_EQ(got.assignment, expected.assignment);
     EXPECT_EQ(got.work.score_evaluations, expected.work.score_evaluations);
     auto from_memory = fennel_for(g, 7);

@@ -5,10 +5,12 @@
 # out-of-range id (typed kOutOfRange reply), a deliberately malformed frame
 # (typed kBadFrame reply — the daemon must keep serving afterwards), asks for
 # METRICS mid-session (per-opcode counters and a populated request-latency
-# histogram), takes a SNAPSHOT, and sends SHUTDOWN; the daemon must then exit
-# 0 on its own. Phase 2 restarts from the snapshot over the stdin/stdout
-# transport and must answer the same WHERE queries identically, with METRICS
-# served on that transport too.
+# histogram), takes a SNAPSHOT and a second one onto the same path (which must
+# replace the file by rename, not rewrite it in place, and leave no
+# snapshot.part.tmp behind), and sends SHUTDOWN; the daemon must then exit
+# 0 on its own. Phase 2 restarts from the overwritten snapshot over the
+# stdin/stdout transport and must answer the same WHERE queries identically,
+# with METRICS served on that transport too.
 # Phase 3 exercises the graceful drain: SIGTERM must answer the in-flight
 # request, refuse new work with a typed kShuttingDown, and exit 0. Phase 4
 # exercises admission control: with --max-conns 2 a third concurrent
@@ -39,7 +41,7 @@ failures=0
 serve_pid=$!
 
 python3 - "$socket" "$snapshot" > "$tmpdir/socket_answers.txt" <<'EOF'
-import json, socket, struct, sys, time
+import json, os, socket, struct, sys, time
 
 sock_path, snap_path = sys.argv[1], sys.argv[2]
 OK, BAD_FRAME, OUT_OF_RANGE = 0, 1, 3
@@ -130,10 +132,17 @@ hist = metrics["histograms"]["service.request_ns"]
 if hist["count"] < 14 or sum(hist["buckets"]) != hist["count"]:
     sys.exit(f"METRICS: implausible request latency histogram: {hist}")
 
-# SNAPSHOT, then a clean SHUTDOWN ack.
+# SNAPSHOT, a second SNAPSHOT onto the same path, then a clean SHUTDOWN ack.
+# The second one must swap in a new file (tmp + rename: a new inode), so a
+# write that failed midway could never have destroyed the first.
 path = snap_path.encode()
 status, _ = roundtrip(struct.pack("<II", 5, len(path)) + path)
 expect("SNAPSHOT status", status, OK)
+first_inode = os.stat(snap_path).st_ino
+status, _ = roundtrip(struct.pack("<II", 5, len(path)) + path)
+expect("second SNAPSHOT status", status, OK)
+if os.stat(snap_path).st_ino == first_inode:
+    sys.exit("second SNAPSHOT rewrote the artifact in place instead of replacing it")
 status, _ = roundtrip(struct.pack("<I", 6))
 expect("SHUTDOWN status", status, OK)
 s.close()
@@ -157,9 +166,16 @@ if [ "$client_rc" -eq 0 ]; then
     echo "ok   [socket session: lookups, typed errors, live metrics, snapshot, shutdown]"
   fi
 fi
+if [ -e "$snapshot.tmp" ]; then
+  echo "FAIL: SNAPSHOT left $snapshot.tmp behind"
+  failures=$((failures + 1))
+else
+  echo "ok   [two SNAPSHOTs onto one path: replaced by rename, no temp file left]"
+fi
 
-# Phase 2: restore from the snapshot over stdin/stdout and re-ask the same
-# WHERE queries; the answers must be bit-identical to the live daemon's.
+# Phase 2: restore from the overwritten snapshot over stdin/stdout and re-ask
+# the same WHERE queries; the answers must be bit-identical to the live
+# daemon's.
 python3 - <<'EOF' > "$tmpdir/requests.bin"
 import struct, sys
 out = b""
