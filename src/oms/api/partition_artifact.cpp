@@ -17,8 +17,12 @@ constexpr std::uint64_t kArtifactMagic = 0x4f4d5350'41525431ULL;
 
 // The artifact payload rides the bounds-checked CheckpointWriter/Reader pair
 // so truncated or mismatched payloads surface as clean IoError, never as
-// out-of-bounds reads.
-void put_artifact(CheckpointWriter& w, const PartitionArtifact& a) {
+// out-of-bounds reads. The writer holds every field but the assignment
+// entries: those are one u32 each, the layout the assignment already has in
+// memory, so write_artifact hands the array itself to the sealed writer.
+static_assert(sizeof(BlockId) == sizeof(std::uint32_t));
+
+void put_fields(CheckpointWriter& w, const PartitionArtifact& a) {
   w.put_string(a.algo);
   w.put_u32(a.edge_partition ? 1 : 0);
   w.put_u32(static_cast<std::uint32_t>(a.k));
@@ -44,9 +48,6 @@ void put_artifact(CheckpointWriter& w, const PartitionArtifact& a) {
   w.put_f64(a.metrics.edge_imbalance);
   w.put_f64(a.metrics.replica_cost);
   w.put_u64(a.assignment.size());
-  for (const BlockId b : a.assignment) {
-    w.put_u32(static_cast<std::uint32_t>(b));
-  }
 }
 
 [[nodiscard]] PartitionArtifact get_artifact(CheckpointReader& r,
@@ -121,9 +122,13 @@ void PartitionArtifact::rebuild_tree() {
 }
 
 void write_artifact(const PartitionArtifact& artifact, const std::string& path) {
-  CheckpointWriter payload;
-  put_artifact(payload, artifact);
-  write_sealed_file(path, kArtifactMagic, {}, payload.bytes(), "artifact");
+  CheckpointWriter fields;
+  put_fields(fields, artifact);
+  const std::span<const char> entries{
+      reinterpret_cast<const char*>(artifact.assignment.data()),
+      artifact.assignment.size() * sizeof(BlockId)};
+  write_sealed_file(path, kArtifactMagic, {}, {fields.bytes(), entries},
+                    "artifact");
 }
 
 PartitionArtifact read_artifact(const std::string& path) {

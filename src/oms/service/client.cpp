@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -64,6 +65,8 @@ void ServiceClient::disconnect() noexcept {
     ::close(fd_);
     fd_ = -1;
   }
+  rx_len_ = 0;
+  rx_done_ = 0;
 }
 
 void ServiceClient::ensure_connected() {
@@ -102,13 +105,15 @@ void ServiceClient::ensure_connected() {
       throw transport_error("connect('" + socket_path_ + "')");
     }
   }
-  // Back to blocking: writes block briefly at worst; reads go through poll.
+  // Back to blocking: writes block briefly at worst; a reply is read by
+  // blocking recv under the receive timeout armed here.
   const int flags = ::fcntl(fd, F_GETFL);
   if (flags >= 0) {
     (void)::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
   }
   fd_ = fd;
   ++connects_;
+  arm_receive(config_.request_timeout_ms);
 }
 
 void ServiceClient::backoff(int attempt) noexcept {
@@ -129,8 +134,81 @@ void ServiceClient::backoff(int attempt) noexcept {
   std::this_thread::sleep_for(std::chrono::milliseconds(jittered));
 }
 
+void ServiceClient::arm_receive(int timeout_ms) {
+  const int ms = std::max(timeout_ms, 1); // a zero timeval would never expire
+  const timeval limit{ms / 1000, (ms % 1000) * 1000};
+  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit) != 0) {
+    throw transport_error("setsockopt(SO_RCVTIMEO)");
+  }
+  armed_ms_ = timeout_ms;
+}
+
+std::span<const char> ServiceClient::receive_frame() {
+  if (rx_done_ > 0) { // drop the frame the previous call returned
+    std::copy(rx_.begin() + static_cast<std::ptrdiff_t>(rx_done_),
+              rx_.begin() + static_cast<std::ptrdiff_t>(rx_len_), rx_.begin());
+    rx_len_ -= rx_done_;
+    rx_done_ = 0;
+  }
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(config_.request_timeout_ms);
+  const auto timed_out = [this] {
+    return TransportError{"request timed out after " +
+                          std::to_string(config_.request_timeout_ms) + " ms"};
+  };
+  for (bool first = true;; first = false) {
+    if (rx_len_ >= sizeof(std::uint32_t)) {
+      std::uint32_t body_len = 0;
+      std::memcpy(&body_len, rx_.data(), sizeof body_len);
+      if (body_len > kMaxFrameBytes) {
+        throw TransportError{"reply frame of " + std::to_string(body_len) +
+                             " bytes exceeds the protocol limit"};
+      }
+      const std::size_t frame_bytes = sizeof body_len + body_len;
+      if (rx_len_ >= frame_bytes) {
+        rx_done_ = frame_bytes;
+        return {rx_.data() + sizeof body_len, body_len};
+      }
+      rx_.resize(std::max(rx_.size(), frame_bytes));
+    }
+    // The first receive waits the whole request_timeout_ms, armed at
+    // connect (or restored here after an earlier reply shortened it); a
+    // reply that needs another receive re-arms it to the time left, so
+    // request_timeout_ms bounds the whole reply.
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) {
+      throw timed_out();
+    }
+    if (!first) {
+      arm_receive(static_cast<int>(left));
+    } else if (armed_ms_ != config_.request_timeout_ms) {
+      arm_receive(config_.request_timeout_ms);
+    }
+    const ssize_t got =
+        ::recv(fd_, rx_.data() + rx_len_, rx_.size() - rx_len_, 0);
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      throw timed_out();
+    }
+    if (got == 0) {
+      throw TransportError{"connection torn mid-reply"};
+    }
+    if (got < 0) {
+      throw transport_error("recv");
+    }
+    rx_len_ += static_cast<std::size_t>(got);
+  }
+}
+
 ClientReply ServiceClient::request(std::span<const char> body) {
-  const std::vector<char> framed = frame(body);
+  const auto body_len = static_cast<std::uint32_t>(body.size());
+  tx_.resize(sizeof body_len + body.size());
+  std::memcpy(tx_.data(), &body_len, sizeof body_len);
+  std::copy(body.begin(), body.end(), tx_.begin() + sizeof body_len);
   std::string last_error = "no attempt made";
   for (int attempt = 1; attempt <= config_.max_attempts; ++attempt) {
     if (attempt > 1) {
@@ -139,8 +217,8 @@ ClientReply ServiceClient::request(std::span<const char> body) {
     try {
       ensure_connected();
       // Write the frame; a torn write means the daemon (or its worker) died.
-      const char* cur = framed.data();
-      std::size_t bytes = framed.size();
+      const char* cur = tx_.data();
+      std::size_t bytes = tx_.size();
       while (bytes > 0) {
         const ssize_t put = ::send(fd_, cur, bytes, MSG_NOSIGNAL);
         if (put <= 0) {
@@ -158,51 +236,16 @@ ClientReply ServiceClient::request(std::span<const char> body) {
         cur += put;
         bytes -= static_cast<std::size_t>(put);
       }
-      // Read one framed reply under the request deadline.
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::milliseconds(config_.request_timeout_ms);
-      const auto read_exactly = [&](void* out, std::size_t want) {
-        auto* dst = static_cast<char*>(out);
-        while (want > 0) {
-          const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now());
-          if (left.count() <= 0 ||
-              !poll_for(fd_, POLLIN, static_cast<int>(left.count()))) {
-            throw TransportError{"request timed out after " +
-                                 std::to_string(config_.request_timeout_ms) +
-                                 " ms"};
-          }
-          const ssize_t got = ::read(fd_, dst, want);
-          if (got <= 0) {
-            if (got < 0 && errno == EINTR) {
-              continue;
-            }
-            if (got == 0) {
-              throw TransportError{"connection torn mid-reply"};
-            }
-            throw transport_error("read");
-          }
-          dst += got;
-          want -= static_cast<std::size_t>(got);
-        }
-      };
-      std::uint32_t reply_len = 0;
-      read_exactly(&reply_len, sizeof reply_len);
-      if (reply_len > kMaxFrameBytes) {
-        throw TransportError{"reply frame of " + std::to_string(reply_len) +
-                             " bytes exceeds the protocol limit"};
-      }
-      std::vector<char> reply(reply_len);
-      if (reply_len > 0) {
-        read_exactly(reply.data(), reply_len);
-      }
+      const std::span<const char> reply = receive_frame();
       if (reply.size() < sizeof(std::uint32_t)) {
         throw TransportError{"reply too short to carry a status"};
       }
       std::uint32_t status_word = 0;
       std::memcpy(&status_word, reply.data(), sizeof status_word);
       const auto status = static_cast<Status>(status_word);
+      ClientReply out;
+      out.status = status;
+      out.payload.assign(reply.begin() + sizeof status_word, reply.end());
       if (status == Status::kOverloaded) {
         // The daemon shed this connection at admission and closed it; this
         // is its explicit "retry with backoff" signal — obey it if an
@@ -218,9 +261,6 @@ ClientReply ServiceClient::request(std::span<const char> body) {
         // same socket cannot succeed. Surface immediately.
         disconnect();
       }
-      ClientReply out;
-      out.status = status;
-      out.payload.assign(reply.begin() + sizeof status_word, reply.end());
       return out;
     } catch (const TransportError& e) {
       disconnect();

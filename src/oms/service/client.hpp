@@ -7,7 +7,9 @@
 ///
 ///  * connect timeouts (non-blocking connect + poll, ClientConfig::
 ///    connect_timeout_ms) and per-request reply deadlines
-///    (request_timeout_ms), so a wedged daemon costs bounded time;
+///    (request_timeout_ms: a reply is read by blocking recv under a
+///    receive timeout, re-armed to the time left when the reply needs a
+///    second receive), so a wedged daemon costs bounded time;
 ///  * bounded exponential backoff with deterministic jitter between
 ///    attempts (backoff_base_ms doubling up to backoff_cap_ms);
 ///  * automatic reconnect on torn connections — a daemon that drops the
@@ -91,12 +93,22 @@ public:
 private:
   void ensure_connected();            ///< throws TransportError internally
   void backoff(int attempt) noexcept; ///< sleep with jitter before a retry
+  void arm_receive(int timeout_ms);   ///< set the socket's SO_RCVTIMEO
+  /// Receive one reply frame under request_timeout_ms and return its body,
+  /// valid until the next call. Bytes behind it (an unsolicited drain
+  /// verdict) stay buffered for the next call.
+  [[nodiscard]] std::span<const char> receive_frame();
 
   std::string socket_path_;
   ClientConfig config_;
   Rng jitter_;
   int fd_ = -1;
   int connects_ = 0;
+  int armed_ms_ = 0;              ///< the receive timeout armed on fd_
+  std::vector<char> tx_;          ///< the framed request, reused per call
+  std::vector<char> rx_ = std::vector<char>(4096); ///< received reply bytes
+  std::size_t rx_len_ = 0;        ///< bytes of rx_ received
+  std::size_t rx_done_ = 0;       ///< bytes of rx_ returned by the last call
 };
 
 } // namespace oms::service

@@ -1,7 +1,10 @@
 #include "oms/service/service.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -156,7 +159,7 @@ Reply PartitionService::handle(const char* body, std::size_t size) const {
 
 namespace {
 /// Process-global drain latch: one relaxed store from a signal handler flips
-/// every serve loop into drain mode at its next poll slice.
+/// every serve loop into drain mode at its next empty wait slice.
 std::atomic<bool> g_drain{false};
 } // namespace
 
@@ -172,8 +175,9 @@ void reset_drain() noexcept { g_drain.store(false, std::memory_order_relaxed); }
 
 namespace {
 
-/// Granularity of every blocking wait: deadlines and the drain latch are
-/// re-checked at least this often, so a drain never waits on a silent peer.
+/// Granularity of every blocking wait (a socket's receive timeout, a pipe's
+/// or the listener's poll): deadlines and the drain latch are re-checked at
+/// least this often, so a drain never waits on a silent peer.
 constexpr int kPollSliceMs = 25;
 
 [[nodiscard]] bool session_draining(const SessionOptions& options) noexcept {
@@ -189,28 +193,61 @@ enum class ReadStatus {
   kDrain,   ///< a drain began before the first byte arrived
 };
 
+/// How a session waits for bytes. A blocking socket takes one recv under a
+/// kPollSliceMs receive timeout (SO_RCVTIMEO), so a ready byte costs no poll
+/// wake-up; a pipe (the stdio transport) takes no receive timeout and waits
+/// in poll first.
+enum class Wait { kTimedRecv, kPoll };
+
+/// Arm the session's receive timeout where the fd allows one: a blocking
+/// socket. setsockopt fails on a pipe, and a non-blocking socket would turn
+/// every empty recv into a slice that never waited.
+[[nodiscard]] Wait arm_session_wait(int fd) noexcept {
+  const timeval slice{0, kPollSliceMs * 1000};
+  const int flags = ::fcntl(fd, F_GETFL);
+  const bool blocking = flags >= 0 && (flags & O_NONBLOCK) == 0;
+  return blocking && ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &slice,
+                                  sizeof slice) == 0
+             ? Wait::kTimedRecv
+             : Wait::kPoll;
+}
+
+/// Wait at most one kPollSliceMs slice for bytes and read what arrived. A
+/// slice that passes without a byte returns -1 with errno EAGAIN.
+[[nodiscard]] ssize_t read_slice(int fd, char* out, std::size_t bytes,
+                                 Wait wait) {
+  if (wait == Wait::kTimedRecv) {
+    return ::recv(fd, out, bytes, 0);
+  }
+  pollfd p{};
+  p.fd = fd;
+  p.events = POLLIN;
+  const int ready = ::poll(&p, 1, kPollSliceMs);
+  if (ready <= 0) {
+    if (ready == 0) {
+      errno = EAGAIN;
+    }
+    return -1;
+  }
+  return ::read(fd, out, bytes);
+}
+
 /// Read exactly \p bytes with the session's idle deadline and the drain
-/// latch enforced at poll granularity. The deadline is per-progress: any
+/// latch enforced once per empty slice. The deadline is per-progress: any
 /// arriving byte resets it (a slow-but-alive peer survives, a stalled one
 /// does not). \p drain_breaks is set only at a frame boundary — once a
 /// frame's first byte arrived, the frame is in flight and drains wait for it.
 [[nodiscard]] ReadStatus read_exact(int fd, void* out, std::size_t bytes,
-                                    const SessionOptions& options,
+                                    const SessionOptions& options, Wait wait,
                                     bool drain_breaks) {
   auto* cur = static_cast<char*>(out);
   int idle_ms = 0;
   while (bytes > 0) {
-    pollfd p{};
-    p.fd = fd;
-    p.events = POLLIN;
-    const int ready = ::poll(&p, 1, kPollSliceMs);
-    if (ready < 0) {
-      if (errno == EINTR) {
-        continue; // the next pass re-checks the drain latch
-      }
-      return ReadStatus::kClosed;
+    const ssize_t got = read_slice(fd, cur, bytes, wait);
+    if (got < 0 && errno == EINTR) {
+      continue; // the next slice re-checks the drain latch
     }
-    if (ready == 0) {
+    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       if (drain_breaks && session_draining(options)) {
         return ReadStatus::kDrain;
       }
@@ -220,15 +257,8 @@ enum class ReadStatus {
       }
       continue;
     }
-    if (fault_fires(FaultSite::kSvcRead)) {
-      return ReadStatus::kClosed; // injected torn read
-    }
-    const ssize_t got = ::read(fd, cur, bytes);
-    if (got <= 0) {
-      if (got < 0 && errno == EINTR) {
-        continue;
-      }
-      return ReadStatus::kClosed;
+    if (fault_fires(FaultSite::kSvcRead) || got <= 0) {
+      return ReadStatus::kClosed; // EOF, read error or injected torn read
     }
     cur += got;
     bytes -= static_cast<std::size_t>(got);
@@ -248,31 +278,42 @@ enum class ReadStatus {
   return ::getsockopt(fd, SOL_SOCKET, SO_TYPE, &type, &len) == 0;
 }
 
-[[nodiscard]] bool write_all(int fd, const void* data, std::size_t bytes,
-                             bool is_socket) {
+/// Write one frame, length prefix and body, with one sendmsg (writev on
+/// pipes) per attempt; a short write resumes where it stopped.
+[[nodiscard]] bool send_reply(int fd, const std::vector<char>& body,
+                              bool is_socket) {
   if (fault_fires(FaultSite::kSvcWrite)) {
     return false; // injected torn write: the caller drops the connection
   }
-  const auto* cur = static_cast<const char*>(data);
-  while (bytes > 0) {
-    const ssize_t put = is_socket ? ::send(fd, cur, bytes, MSG_NOSIGNAL)
-                                  : ::write(fd, cur, bytes);
+  std::uint32_t body_len = static_cast<std::uint32_t>(body.size());
+  iovec parts[2] = {{&body_len, sizeof body_len},
+                    {const_cast<char*>(body.data()), body.size()}};
+  iovec* next = parts;
+  std::size_t left = 2;
+  while (left > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = left;
+    const ssize_t put = is_socket ? ::sendmsg(fd, &msg, MSG_NOSIGNAL)
+                                  : ::writev(fd, next, static_cast<int>(left));
     if (put <= 0) {
       if (put < 0 && errno == EINTR) {
         continue;
       }
       return false;
     }
-    cur += put;
-    bytes -= static_cast<std::size_t>(put);
+    auto done = static_cast<std::size_t>(put);
+    while (left > 0 && done >= next->iov_len) {
+      done -= next->iov_len;
+      ++next;
+      --left;
+    }
+    if (left > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + done;
+      next->iov_len -= done;
+    }
   }
   return true;
-}
-
-[[nodiscard]] bool send_reply(int fd, const std::vector<char>& body,
-                              bool is_socket) {
-  const std::vector<char> framed = frame(body);
-  return write_all(fd, framed.data(), framed.size(), is_socket);
 }
 
 /// The kShuttingDown close of a session or a drained-off accept.
@@ -289,6 +330,7 @@ void send_drain_reply(int fd, bool is_socket) {
 bool serve_stream(const PartitionService& service, int in_fd, int out_fd,
                   const SessionOptions& options) {
   const bool out_is_socket = fd_is_socket(out_fd);
+  const Wait wait = arm_session_wait(in_fd);
   std::vector<char> body;
   for (;;) {
     // Frame boundary: the drain decision point. Everything accepted before
@@ -298,7 +340,7 @@ bool serve_stream(const PartitionService& service, int in_fd, int out_fd,
       return false;
     }
     if (fault_fires(FaultSite::kSvcSlow)) {
-      // Simulate a stalled peer (slow loris): burn the idle budget in poll
+      // Simulate a stalled peer (slow loris): burn the idle budget in wait
       // slices. With a deadline configured this must end in the same clean
       // timeout close a real stalled client gets; without one it is jitter.
       if (options.idle_timeout_ms > 0) {
@@ -312,7 +354,7 @@ bool serve_stream(const PartitionService& service, int in_fd, int out_fd,
       std::this_thread::sleep_for(std::chrono::milliseconds(2 * kPollSliceMs));
     }
     std::uint32_t body_len = 0;
-    switch (read_exact(in_fd, &body_len, sizeof body_len, options,
+    switch (read_exact(in_fd, &body_len, sizeof body_len, options, wait,
                        /*drain_breaks=*/true)) {
       case ReadStatus::kClosed:
         return false; // client hung up (or died mid-prefix)
@@ -339,7 +381,7 @@ bool serve_stream(const PartitionService& service, int in_fd, int out_fd,
     }
     body.resize(body_len);
     if (body_len > 0) {
-      switch (read_exact(in_fd, body.data(), body_len, options,
+      switch (read_exact(in_fd, body.data(), body_len, options, wait,
                          /*drain_breaks=*/false)) {
         case ReadStatus::kClosed:
         case ReadStatus::kDrain:

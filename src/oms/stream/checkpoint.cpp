@@ -86,7 +86,7 @@ void write_checkpoint_file(const std::string& path, const CheckpointMeta& meta,
   head.put_u32(kCheckpointVersion);
   put_meta(head, meta);
   const std::uint64_t bytes =
-      write_sealed_file(path, kCheckpointMagic, head.bytes(), payload, "checkpoint");
+      write_sealed_file(path, kCheckpointMagic, head.bytes(), {payload}, "checkpoint");
   telemetry::metric_add(telemetry::Counter::kCheckpointSnapshots);
   telemetry::metric_add(telemetry::Counter::kCheckpointBytes, bytes);
 }

@@ -44,7 +44,8 @@ std::span<const char> SealedFile::payload(std::size_t head_bytes) const {
 
 std::uint64_t write_sealed_file(const std::string& path, std::uint64_t magic,
                                 std::span<const char> head,
-                                std::span<const char> payload, const char* what) {
+                                std::initializer_list<std::span<const char>> payload,
+                                const char* what) {
   const std::string tmp = path + ".tmp";
   FilePtr file(std::fopen(tmp.c_str(), "wb"));
   if (file == nullptr) {
@@ -57,9 +58,15 @@ std::uint64_t write_sealed_file(const std::string& path, std::uint64_t magic,
     written += bytes;
     return bytes == 0 || std::fwrite(data, 1, bytes, file.get()) == bytes;
   };
-  const std::uint64_t length = payload.size();
+  std::uint64_t length = 0;
+  for (const std::span<const char> part : payload) {
+    length += part.size();
+  }
   bool ok = put(&magic, kWordBytes) && put(head.data(), head.size()) &&
-            put(&length, kWordBytes) && put(payload.data(), payload.size());
+            put(&length, kWordBytes);
+  for (const std::span<const char> part : payload) {
+    ok = ok && put(part.data(), part.size());
+  }
   const std::uint32_t sealed_crc = crc32_final(crc);
   ok = ok && put(&sealed_crc, kCrcBytes);
   ok = std::fclose(file.release()) == 0 && ok; // fclose flushes the tail

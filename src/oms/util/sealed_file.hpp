@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,12 +38,14 @@ private:
   std::vector<char> bytes_; ///< the whole file
 };
 
-/// Replace \p path by a sealed file; \p what ("checkpoint", "artifact")
-/// names the format in errors. Returns the file size. On failure the tmp
-/// file is removed and IoError thrown.
+/// Replace \p path by a sealed file whose payload is the concatenation of
+/// \p payload's parts, each written from its own memory; \p what
+/// ("checkpoint", "artifact") names the format in errors. Returns the file
+/// size. On failure the tmp file is removed and IoError thrown.
 std::uint64_t write_sealed_file(const std::string& path, std::uint64_t magic,
                                 std::span<const char> head,
-                                std::span<const char> payload, const char* what);
+                                std::initializer_list<std::span<const char>> payload,
+                                const char* what);
 
 /// Read \p path and check magic, length and CRC; throws IoError otherwise.
 [[nodiscard]] SealedFile read_sealed_file(const std::string& path,

@@ -1,5 +1,6 @@
 /// \file test_service.cpp
-/// \brief The transport layer of oms_serve: frame loops over real fds, the
+/// \brief The transport layer of oms_serve: frame loops over pipes and over
+///        a socketpair (frames split or joined by the peer's writes), the
 ///        oversized-frame close, a concurrent multi-client stress session
 ///        over a Unix socket (the TSan leg runs this), and the
 ///        snapshot -> restore -> identical-answers round trip.
@@ -11,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -155,6 +157,103 @@ TEST(ServeStream, OversizedFrameGetsTypedErrorThenClose) {
   ::close(in_pipe[0]);
   ::close(in_pipe[1]);
   ::close(out_pipe[0]);
+}
+
+// ---------------------------------------------------------------------------
+// serve_stream over a socketpair: a socket session receives with blocking
+// recv under a receive timeout, and must reassemble frames however the
+// peer's writes split or join them.
+// ---------------------------------------------------------------------------
+
+/// Send \p bytes into one end of a socketpair in pieces of at most \p piece
+/// bytes, \p gap apart, then half-close it; serve the other end until that
+/// EOF. Returns every reply body in arrival order.
+[[nodiscard]] std::vector<std::vector<char>> serve_over_socketpair(
+    const PartitionService& service, const std::vector<char>& bytes,
+    std::size_t piece, std::chrono::microseconds gap) {
+  int pair[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  std::thread server([&] {
+    EXPECT_FALSE(serve_stream(service, pair[1], pair[1])); // ends on EOF
+    ::shutdown(pair[1], SHUT_WR);
+  });
+  std::thread writer([&] {
+    for (std::size_t at = 0; at < bytes.size(); at += piece) {
+      const std::size_t n = std::min(piece, bytes.size() - at);
+      EXPECT_EQ(::send(pair[0], bytes.data() + at, n, MSG_NOSIGNAL),
+                static_cast<ssize_t>(n));
+      std::this_thread::sleep_for(gap);
+    }
+    ::shutdown(pair[0], SHUT_WR);
+  });
+  std::vector<std::vector<char>> replies;
+  for (std::vector<char> reply = read_reply(pair[0]); !reply.empty();
+       reply = read_reply(pair[0])) {
+    replies.push_back(std::move(reply));
+  }
+  writer.join();
+  server.join();
+  ::close(pair[0]);
+  ::close(pair[1]);
+  return replies;
+}
+
+[[nodiscard]] std::vector<char> concat_frames(
+    const std::vector<std::vector<char>>& bodies) {
+  std::vector<char> out;
+  for (const auto& body : bodies) {
+    const std::vector<char> framed = frame(body);
+    out.insert(out.end(), framed.begin(), framed.end());
+  }
+  return out;
+}
+
+[[nodiscard]] std::vector<char> handled(const PartitionService& service,
+                                        const std::vector<char>& body) {
+  return service.handle(body.data(), body.size()).body;
+}
+
+TEST(ServeStreamSocket, TwoFramesInOneWriteAreAnsweredInOrder) {
+  const PartitionService service = make_service();
+  const std::vector<std::vector<char>> bodies = {encode_where(5),
+                                                 encode_rank(1999)};
+  const std::vector<char> bytes = concat_frames(bodies);
+  const auto replies = serve_over_socketpair(service, bytes, bytes.size(),
+                                             std::chrono::microseconds(0));
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0], handled(service, bodies[0]));
+  EXPECT_EQ(replies[1], handled(service, bodies[1]));
+}
+
+TEST(ServeStreamSocket, FrameInOneByteWritesIsReassembled) {
+  const PartitionService service = make_service();
+  const std::vector<std::uint64_t> ids = {3, 1, 4, 1, 5};
+  const std::vector<std::vector<char>> bodies = {encode_batch(ids),
+                                                 encode_where(9)};
+  const auto replies = serve_over_socketpair(service, concat_frames(bodies), 1,
+                                             std::chrono::microseconds(200));
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0], handled(service, bodies[0]));
+  EXPECT_EQ(replies[1], handled(service, bodies[1]));
+}
+
+TEST(ServeStreamSocket, BatchOf4096IdsNeedsSeveralReceives) {
+  const PartitionService service = make_service();
+  const std::uint64_t items = service.artifact().assignment.size();
+  std::vector<std::uint64_t> ids(4096);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = (i * 7919) % items;
+  }
+  // A 32 KiB request in 4 KiB pieces and a 16 KiB reply: both ends take
+  // several receives per frame. A WHERE behind it must still come second.
+  const std::vector<std::vector<char>> bodies = {encode_batch(ids),
+                                                 encode_where(11)};
+  const auto replies = serve_over_socketpair(service, concat_frames(bodies),
+                                             4096, std::chrono::microseconds(500));
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].size(), 2 * sizeof(std::uint32_t) + 4096 * sizeof(std::uint32_t));
+  EXPECT_EQ(replies[0], handled(service, bodies[0]));
+  EXPECT_EQ(replies[1], handled(service, bodies[1]));
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -207,43 +208,45 @@ TEST_F(ServiceHardeningTest, ClientHangupBeforeReadingTheReplyCostsTheSession) {
 // Idle deadlines: silent peers are reclaimed, slow-but-alive ones are not.
 // ---------------------------------------------------------------------------
 
-TEST_F(ServiceHardeningTest, IdleDeadlineReclaimsSilentPeersOnly) {
-  telemetry::MetricsRegistry registry;
-  telemetry::MetricsRegistry::arm(registry);
-  const PartitionService service = make_service();
+/// The three idle-deadline cases on one transport. The session reads
+/// \p server_in and answers on \p server_out; the peer writes \p peer_out,
+/// reads \p peer_in and ends its writes with \p end_writes; \p registry is
+/// armed and counts the timeouts.
+void expect_idle_deadline_reclaims_silent_peers_only(
+    const PartitionService& service, int server_in, int server_out,
+    int peer_out, int peer_in, const std::function<void()>& end_writes,
+    const telemetry::MetricsRegistry& registry) {
+  const auto timeouts = [&registry] {
+    return registry.scrape().counter(telemetry::Counter::kServiceTimeouts);
+  };
+  const std::uint64_t timeouts_before = timeouts();
   SessionOptions options;
   options.idle_timeout_ms = 50;
 
-  int in_pipe[2];
-  int out_pipe[2];
-  ASSERT_EQ(::pipe(in_pipe), 0);
-  ASSERT_EQ(::pipe(out_pipe), 0);
-
   // A peer that never sends a byte times out at the frame boundary...
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(serve_stream(service, in_pipe[0], out_pipe[1], options));
+  EXPECT_FALSE(serve_stream(service, server_in, server_out, options));
   // ...and one that stalls mid-prefix times out too (no progress resets).
-  ASSERT_EQ(::write(in_pipe[1], "ab", 2), 2);
-  EXPECT_FALSE(serve_stream(service, in_pipe[0], out_pipe[1], options));
+  ASSERT_EQ(::write(peer_out, "ab", 2), 2);
+  EXPECT_FALSE(serve_stream(service, server_in, server_out, options));
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
   EXPECT_GE(elapsed.count(), 2 * options.idle_timeout_ms - 10);
-  EXPECT_EQ(registry.scrape().counter(telemetry::Counter::kServiceTimeouts),
-            2u);
+  EXPECT_EQ(timeouts() - timeouts_before, 2u);
 
   // A slow-but-alive peer never trips the per-progress deadline: one byte
   // every 10 ms stays under the 50 ms idle budget the whole way.
   std::thread dribble([&] {
     const std::vector<char> framed = frame(encode_where(3));
     for (const char byte : framed) {
-      EXPECT_EQ(::write(in_pipe[1], &byte, 1), 1);
+      EXPECT_EQ(::write(peer_out, &byte, 1), 1);
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    ::close(in_pipe[1]);
+    end_writes();
   });
-  EXPECT_FALSE(serve_stream(service, in_pipe[0], out_pipe[1], options));
+  EXPECT_FALSE(serve_stream(service, server_in, server_out, options));
   dribble.join();
-  const std::vector<char> reply = read_reply(out_pipe[0]);
+  const std::vector<char> reply = read_reply(peer_in);
   ASSERT_EQ(status_of(reply), Status::kOk);
   {
     CheckpointReader r(reply);
@@ -251,12 +254,37 @@ TEST_F(ServiceHardeningTest, IdleDeadlineReclaimsSilentPeersOnly) {
     EXPECT_EQ(r.get_u32(),
               static_cast<std::uint32_t>(service.artifact().where(3)));
   }
-  EXPECT_EQ(registry.scrape().counter(telemetry::Counter::kServiceTimeouts),
-            2u)
+  EXPECT_EQ(timeouts() - timeouts_before, 2u)
       << "the dribbling peer must not count as a timeout";
-  ::close(in_pipe[0]);
-  ::close(out_pipe[0]);
-  ::close(out_pipe[1]);
+}
+
+TEST_F(ServiceHardeningTest, IdleDeadlineReclaimsSilentPeersOnly) {
+  telemetry::MetricsRegistry registry;
+  telemetry::MetricsRegistry::arm(registry);
+  const PartitionService service = make_service();
+  {
+    SCOPED_TRACE("pipes (the stdio transport: poll, then read)");
+    int in_pipe[2];
+    int out_pipe[2];
+    ASSERT_EQ(::pipe(in_pipe), 0);
+    ASSERT_EQ(::pipe(out_pipe), 0);
+    expect_idle_deadline_reclaims_silent_peers_only(
+        service, in_pipe[0], out_pipe[1], in_pipe[1], out_pipe[0],
+        [&] { ::close(in_pipe[1]); }, registry);
+    ::close(in_pipe[0]);
+    ::close(out_pipe[0]);
+    ::close(out_pipe[1]);
+  }
+  {
+    SCOPED_TRACE("socketpair (recv under a receive timeout)");
+    int pair[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+    expect_idle_deadline_reclaims_silent_peers_only(
+        service, pair[1], pair[1], pair[0], pair[0],
+        [&] { ::shutdown(pair[0], SHUT_WR); }, registry);
+    ::close(pair[0]);
+    ::close(pair[1]);
+  }
 }
 
 // ---------------------------------------------------------------------------

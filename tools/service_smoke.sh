@@ -5,7 +5,8 @@
 # out-of-range id (typed kOutOfRange reply), a deliberately malformed frame
 # (typed kBadFrame reply — the daemon must keep serving afterwards), asks for
 # METRICS mid-session (per-opcode counters and a populated request-latency
-# histogram), takes a SNAPSHOT and a second one onto the same path (which must
+# histogram), sends one frame split over three writes and two frames in one
+# write (each answered in order), takes a SNAPSHOT and a second one onto the same path (which must
 # replace the file by rename, not rewrite it in place, and leave no
 # snapshot.part.tmp behind), and sends SHUTDOWN; the daemon must then exit
 # 0 on its own. Phase 2 restarts from the overwritten snapshot over the
@@ -68,11 +69,14 @@ def read_exactly(n):
         buf += chunk
     return buf
 
-def roundtrip(body):
-    send_raw(body)
+def read_reply():
     (length,) = struct.unpack("<I", read_exactly(4))
     reply = read_exactly(length)
     return struct.unpack("<I", reply[:4])[0], reply[4:]
+
+def roundtrip(body):
+    send_raw(body)
+    return read_reply()
 
 def expect(label, got, want):
     if got != want:
@@ -132,6 +136,26 @@ hist = metrics["histograms"]["service.request_ns"]
 if hist["count"] < 14 or sum(hist["buckets"]) != hist["count"]:
     sys.exit(f"METRICS: implausible request latency histogram: {hist}")
 
+# Raw framing: one frame split over three writes, then two frames in one
+# write. Each must be answered whole and in order, however the daemon's
+# receives split or join the bytes.
+def where_frame(v):
+    body = struct.pack("<IQ", 1, v)
+    return struct.pack("<I", len(body)) + body
+
+split = where_frame(4)
+for piece in (split[:2], split[2:7], split[7:]):
+    s.sendall(piece)
+    time.sleep(0.02)
+status, payload = read_reply()
+expect("split WHERE 4 status", status, OK)
+expect("split WHERE 4 block", struct.unpack("<I", payload)[0], blocks[4])
+s.sendall(where_frame(5) + where_frame(6))
+for v in (5, 6):
+    status, payload = read_reply()
+    expect(f"joined WHERE {v} status", status, OK)
+    expect(f"joined WHERE {v} block", struct.unpack("<I", payload)[0], blocks[v])
+
 # SNAPSHOT, a second SNAPSHOT onto the same path, then a clean SHUTDOWN ack.
 # The second one must swap in a new file (tmp + rename: a new inode), so a
 # write that failed midway could never have destroyed the first.
@@ -163,7 +187,7 @@ if [ "$client_rc" -eq 0 ]; then
     sed 's/^/  serve: /' "$tmpdir/serve.log"
     failures=$((failures + 1))
   else
-    echo "ok   [socket session: lookups, typed errors, live metrics, snapshot, shutdown]"
+    echo "ok   [socket session: lookups, typed errors, live metrics, split and joined frames, snapshot, shutdown]"
   fi
 fi
 if [ -e "$snapshot.tmp" ]; then
